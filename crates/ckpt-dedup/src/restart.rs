@@ -4,23 +4,23 @@
 //! The sequential [`Restorer`](crate::restore::Restorer) replays a record
 //! front-to-back, cloning and patching every version on the way to the one
 //! that is actually wanted — O(chain length × checkpoint size) bytes moved
-//! for a single restore. This module walks the chain the other way: starting
-//! from the target checkpoint, a per-chunk **resolution table** records which
-//! record position must supply each chunk. Visiting records newest→oldest,
-//! a device kernel advances every unresolved chunk through the current
-//! record's region tables — a chunk covered by payload is *finalized* (its
-//! source record and payload offset are now known), a chunk covered by a
-//! shifted duplicate is redirected (possibly to an older record), and an
-//! uncovered chunk is a fixed duplicate that simply carries to the
-//! next-older record. Each visited record then contributes exactly one
-//! parallel [`copy_regions`] wave for the chunks it finalized. Total bytes
-//! moved: one checkpoint's worth, regardless of chain length.
+//! for a single restore. This module walks the chain the other way, starting
+//! from the target checkpoint. Every target chunk is a *waiter* linked on the
+//! source chunk whose content it currently needs. A record that does not
+//! cover that chunk leaves the waiter alone (a fixed duplicate simply carries
+//! to older records at no cost), so visiting a record only walks the chunks
+//! its region tables cover: a payload cover *finalizes* the waiters there, a
+//! shifted duplicate relinks them onto its source chunk (possibly in an older
+//! record). Each visited record then contributes exactly one parallel copy
+//! wave for the chunks it finalized. Total bytes moved: one
+//! checkpoint's worth, regardless of chain length; resolution work per record
+//! is proportional to what that record covers.
 //!
-//! **Determinism:** every chunk's resolution is a pure function of the
-//! record's region tables — threads never exchange data — so the restored
-//! bytes are identical at any thread count, and identical to the sequential
-//! replay (the per-chunk walk computes exactly the provenance the sequential
-//! clone-and-patch loop realizes in place).
+//! **Determinism:** each target chunk is finalized exactly once, at the one
+//! record that supplies it, so the copy destinations are disjoint and the
+//! restored bytes are identical at any thread count — and identical to the
+//! sequential replay (the waiter walk computes exactly the provenance the
+//! sequential clone-and-patch loop realizes in place).
 //!
 //! Chains whose head is a **rebase record** (see
 //! [`Checkpointer::rebase_checkpoint`](crate::methods::Checkpointer::rebase_checkpoint))
@@ -29,16 +29,13 @@
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
-use crate::restore::{copy_regions, decoded_payload, RestoreError};
+use crate::restore::{decoded_payload, RestoreError};
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
 use gpu_sim::{ArenaLease, Device, KernelCost};
 
-/// Per-chunk resolution status after a record visit (kernel → host codes).
-const ST_CARRIED: u32 = 0;
-const ST_PAYLOAD: u32 = 1;
-const ST_ZERO: u32 = 2;
-const ST_CYCLE: u32 = 3;
+/// End of a waiter list / chunk outside the visited record's cover table.
+const NIL: u32 = u32::MAX;
 
 /// Counters describing one single-pass restore.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +43,7 @@ pub struct RestartStats {
     /// Records the resolution walk actually visited (≤ chain length; a
     /// self-contained rebase record stops the walk).
     pub records_visited: u32,
-    /// Copy regions materialized across all per-record waves.
+    /// Chunk copies emitted across all per-record waves.
     pub regions_copied: u64,
     /// Payload bytes copied into the restored buffer.
     pub bytes_copied: u64,
@@ -87,38 +84,104 @@ pub fn is_self_contained(diff: &Diff) -> bool {
     }
 }
 
-/// A payload-backed region of the record being visited: chunks
-/// `clo..chi` live at byte `off` of the decoded payload.
-struct PayloadIv {
-    clo: u32,
-    chi: u32,
-    off: u64,
+/// Where a record takes the content of the chunks one cover spans.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The decoded payload, from this byte offset on.
+    Payload(u64),
+    /// Source chunks from `slo` on, as of record position `ref_pos`.
+    Shift { slo: u32, ref_pos: u32 },
 }
 
-/// A shifted-duplicate region: destination chunks `clo..chi` read from
-/// source chunks starting at `slo` of record position `ref_pos`.
-struct ShiftIv {
+/// One interval of a record's cover table: chunks `clo..chi` and their
+/// source. A record's covers are sorted by `clo` and pairwise disjoint.
+#[derive(Clone, Copy)]
+struct Cover {
     clo: u32,
     chi: u32,
-    slo: u32,
-    ref_pos: u32,
+    src: Source,
 }
 
-/// The record-visit index: where each chunk of this version's content is.
-enum RecordIndex {
-    /// Full method: the payload is the whole version.
-    Full,
-    /// Basic method: per-chunk changed flags and their exclusive ranks
-    /// (payload offset of changed chunk `c` is `ranks[c] * chunk_size`).
-    Basic {
-        flags: ArenaLease<u64>,
-        ranks: ArenaLease<u64>,
-    },
-    /// Tree/List: sorted interval tables over chunk ids.
-    Regions {
-        payload: Vec<PayloadIv>,
-        shifts: Vec<ShiftIv>,
-    },
+/// How one waiter's chase through the visited record ended.
+enum Step {
+    /// Finalized: the content is `chunks` chunks past byte `off` of the
+    /// payload.
+    Payload { off: u64, chunks: u32 },
+    /// Finalized: the zero prefix below the record base.
+    Zero,
+    /// Same-record shifts ran out of fuel (a cycle).
+    Cycle,
+    /// Relinked onto the source chunk it needs next.
+    Waiting,
+}
+
+/// Per-chunk resolution state, indexed by chunk id (16 B per chunk,
+/// arena-leased so steady-state restores allocate nothing).
+///
+/// Target chunk `w` sits on source chunk `s`'s list (`head[s]`, then
+/// `next[w]`) while it needs the content `s` holds in the newest record at or
+/// below position `pos[w]` that covers `s`.
+struct Waiters {
+    head: ArenaLease<u32>,
+    next: ArenaLease<u32>,
+    pos: ArenaLease<u32>,
+    /// Chunk → index into the visited record's cover table, `NIL` outside
+    /// it. Filled and cleared over that record's covers only, and only when
+    /// it has same-record shifts to chase.
+    cover_of: ArenaLease<u32>,
+}
+
+impl Waiters {
+    fn wait(&mut self, w: u32, pos: u32, s: u32) {
+        self.pos[w as usize] = pos;
+        self.next[w as usize] = self.head[s as usize];
+        self.head[s as usize] = w;
+    }
+
+    /// Resolve waiter `w`, which needs chunk `cur` of record position `j`,
+    /// covered there by `covers[k]`. Same-record shifts are chased in O(1)
+    /// per hop through `cover_of`, at most `fuel` hops.
+    fn chase(
+        &mut self,
+        w: u32,
+        mut k: usize,
+        mut cur: u32,
+        j: u32,
+        covers: &[Cover],
+        mut fuel: usize,
+    ) -> Step {
+        loop {
+            let cv = covers[k];
+            let (slo, ref_pos) = match cv.src {
+                Source::Payload(off) => {
+                    return Step::Payload {
+                        off,
+                        chunks: cur - cv.clo,
+                    }
+                }
+                Source::Shift { slo, ref_pos } => (slo, ref_pos),
+            };
+            let src = slo + (cur - cv.clo);
+            if ref_pos != j {
+                self.wait(w, ref_pos, src);
+                return Step::Waiting;
+            }
+            if fuel == 0 {
+                return Step::Cycle;
+            }
+            fuel -= 1;
+            cur = src;
+            match self.cover_of[cur as usize] {
+                // Uncovered: a fixed duplicate of the previous version.
+                NIL if j == 0 => return Step::Zero,
+                NIL => {
+                    self.wait(w, j - 1, cur);
+                    return Step::Waiting;
+                }
+                next => k = next as usize,
+            }
+        }
+    }
 }
 
 /// Incremental single-pass restore of one target version.
@@ -137,16 +200,9 @@ pub struct SinglePassRestore {
     /// Record position the next `feed` must carry (`ckpt_id == base + pos`).
     next_pos: u32,
     buf: Vec<u8>,
-    /// Per-chunk: record position whose content the chunk currently needs.
-    need_pos: ArenaLease<u32>,
-    /// Per-chunk: chunk index within that version.
-    need_chunk: ArenaLease<u32>,
-    /// Per-chunk visit status (`ST_*`).
-    status: ArenaLease<u32>,
-    /// Per-chunk payload byte offset once finalized.
-    final_off: ArenaLease<u64>,
-    /// Target chunks not yet finalized, ascending.
-    pending: Vec<u32>,
+    waiters: Waiters,
+    /// Target chunks not yet finalized.
+    remaining: usize,
     done: bool,
     stats: RestartStats,
 }
@@ -166,23 +222,29 @@ impl SinglePassRestore {
         let shape = TreeShape::new(ck.n_chunks());
         let n = ck.n_chunks();
         let arena = device.arena();
-        let mut need_pos = arena.lease::<u32>("restart/need_pos", n);
-        let mut need_chunk = arena.lease::<u32>("restart/need_chunk", n);
-        let status = arena.lease::<u32>("restart/status", n);
-        let final_off = arena.lease::<u64>("restart/final_off", n);
+        let mut waiters = Waiters {
+            head: arena.lease("restart/head", n),
+            next: arena.lease("restart/next", n),
+            pos: arena.lease("restart/pos", n),
+            cover_of: arena.lease("restart/cover_of", n),
+        };
         {
-            // Leases carry stale pool contents; seed the resolution table:
-            // every chunk needs its own position of the target version.
-            let pos = SharedSliceMut::new(need_pos.as_mut_slice());
-            let chunk = SharedSliceMut::new(need_chunk.as_mut_slice());
+            // Leases carry stale pool contents; seed the lists: every chunk
+            // waits on itself at the target position.
+            let head = SharedSliceMut::new(waiters.head.as_mut_slice());
+            let next = SharedSliceMut::new(waiters.next.as_mut_slice());
+            let pos = SharedSliceMut::new(waiters.pos.as_mut_slice());
+            let cover_of = SharedSliceMut::new(waiters.cover_of.as_mut_slice());
             device.parallel_for(
                 "restart_seed_resolution",
                 n,
-                KernelCost::stream(8 * n as u64),
+                KernelCost::stream(16 * n as u64),
                 |c| unsafe {
                     // SAFETY: chunk index owned by this thread.
+                    head.write(c, c as u32);
+                    next.write(c, NIL);
                     pos.write(c, target_pos);
-                    chunk.write(c, c as u32);
+                    cover_of.write(c, NIL);
                 },
             );
         }
@@ -194,11 +256,8 @@ impl SinglePassRestore {
             base,
             next_pos: target_pos,
             buf: vec![0u8; ck.data_len()],
-            need_pos,
-            need_chunk,
-            status,
-            final_off,
-            pending: (0..n as u32).collect(),
+            waiters,
+            remaining: n,
             done: false,
             stats: RestartStats::default(),
         })
@@ -214,65 +273,63 @@ impl SinglePassRestore {
         (!self.done).then_some(self.next_pos)
     }
 
-    /// Build the visit index for `diff`, validating its tables the same way
-    /// the sequential restorer does.
-    fn build_index(&self, diff: &Diff, payload_len: usize) -> Result<RecordIndex, RestoreError> {
+    /// Build the cover table of `diff` (payload offsets in bytes), validating
+    /// its tables the same way the sequential restorer does.
+    fn cover_table(&self, diff: &Diff, payload_len: usize) -> Result<Vec<Cover>, RestoreError> {
         let n = self.ck.n_chunks();
+        let truncated = RestoreError::PayloadTruncated {
+            ckpt_id: diff.ckpt_id,
+        };
+        // Payload covers take consecutive payload bytes in table order.
+        let mut cursor = 0usize;
+        let mut payload_cover = |clo: usize, chi: usize| {
+            let (a, b) = self.ck.byte_range_of_chunks(clo, chi);
+            if cursor + (b - a) > payload_len {
+                return Err(truncated.clone());
+            }
+            let cover = Cover {
+                clo: clo as u32,
+                chi: chi as u32,
+                src: Source::Payload(cursor as u64),
+            };
+            cursor += b - a;
+            Ok(cover)
+        };
         match diff.kind {
             MethodKind::Full => {
                 if payload_len != self.ck.data_len() {
-                    return Err(RestoreError::PayloadTruncated {
-                        ckpt_id: diff.ckpt_id,
-                    });
+                    return Err(truncated);
                 }
-                Ok(RecordIndex::Full)
+                Ok(vec![Cover {
+                    clo: 0,
+                    chi: n as u32,
+                    src: Source::Payload(0),
+                }])
             }
             MethodKind::Basic => {
-                let arena = self.device.arena();
-                let mut flags = arena.lease::<u64>("restart/basic_flags", n);
-                for (c, f) in flags.as_mut_slice().iter_mut().enumerate() {
-                    *f = bitmap::get(&diff.bitmap, c) as u64;
+                // Each run of changed chunks is one payload cover.
+                let mut covers = Vec::new();
+                let mut c = 0;
+                while c < n {
+                    if !bitmap::get(&diff.bitmap, c) {
+                        c += 1;
+                        continue;
+                    }
+                    let clo = c;
+                    while c < n && bitmap::get(&diff.bitmap, c) {
+                        c += 1;
+                    }
+                    covers.push(payload_cover(clo, c)?);
                 }
-                let mut ranks = arena.lease::<u64>("restart/basic_ranks", n);
-                let changed =
-                    self.device
-                        .exclusive_scan("restart_basic_ranks", &flags, ranks.as_mut_slice())
-                        as usize;
-                // All changed chunks are full-size except a changed global
-                // last chunk, which is the final payload entry.
-                let mut required = changed * self.ck.chunk_size();
-                if changed > 0 && flags[n - 1] == 1 {
-                    let (a, b) = self.ck.byte_range(n - 1);
-                    required = required - self.ck.chunk_size() + (b - a);
-                }
-                if required > payload_len {
-                    return Err(RestoreError::PayloadTruncated {
-                        ckpt_id: diff.ckpt_id,
-                    });
-                }
-                Ok(RecordIndex::Basic { flags, ranks })
+                Ok(covers)
             }
             MethodKind::List | MethodKind::Tree => {
-                let mut payload = Vec::with_capacity(diff.first_regions.len());
-                let mut cursor = 0usize;
+                let mut covers =
+                    Vec::with_capacity(diff.first_regions.len() + diff.shift_regions.len());
                 for &node in &diff.first_regions {
                     let (clo, chi) = self.shape.chunk_range(node as usize);
-                    let (a, b) = self.ck.byte_range_of_chunks(clo, chi);
-                    if cursor + (b - a) > payload_len {
-                        return Err(RestoreError::PayloadTruncated {
-                            ckpt_id: diff.ckpt_id,
-                        });
-                    }
-                    payload.push(PayloadIv {
-                        clo: clo as u32,
-                        chi: chi as u32,
-                        off: cursor as u64,
-                    });
-                    cursor += b - a;
+                    covers.push(payload_cover(clo, chi)?);
                 }
-                payload.sort_unstable_by_key(|r| r.clo);
-
-                let mut shifts = Vec::with_capacity(diff.shift_regions.len());
                 for s in &diff.shift_regions {
                     if s.ref_ckpt > diff.ckpt_id {
                         return Err(RestoreError::ForwardReference {
@@ -297,15 +354,22 @@ impl SinglePassRestore {
                             ref_node: s.ref_node,
                         });
                     }
-                    shifts.push(ShiftIv {
+                    covers.push(Cover {
                         clo: clo as u32,
                         chi: chi as u32,
-                        slo: slo as u32,
-                        ref_pos,
+                        src: Source::Shift {
+                            slo: slo as u32,
+                            ref_pos,
+                        },
                     });
                 }
-                shifts.sort_unstable_by_key(|r| r.clo);
-                Ok(RecordIndex::Regions { payload, shifts })
+                covers.sort_unstable_by_key(|cv| cv.clo);
+                if covers.windows(2).any(|w| w[0].chi > w[1].clo) {
+                    return Err(RestoreError::OverlappingRegions {
+                        ckpt_id: diff.ckpt_id,
+                    });
+                }
+                Ok(covers)
             }
         }
     }
@@ -337,123 +401,61 @@ impl SinglePassRestore {
         }
 
         let payload = decoded_payload(diff)?;
-        let index = self.build_index(diff, payload.len())?;
+        let covers = self.cover_table(diff, payload.len())?;
         self.stats.records_visited += 1;
 
-        // Resolution kernel: advance every unresolved chunk through this
-        // record's tables. Each pending chunk is owned by one thread; the
-        // tables are read-only; so the pass is embarrassingly parallel and
-        // its outcome is thread-count independent.
-        let n_pend = self.pending.len();
-        let chunk_size = self.ck.chunk_size();
-        {
-            let pending = &self.pending;
-            let need_pos = SharedSliceMut::new(self.need_pos.as_mut_slice());
-            let need_chunk = SharedSliceMut::new(self.need_chunk.as_mut_slice());
-            let status = SharedSliceMut::new(self.status.as_mut_slice());
-            let final_off = SharedSliceMut::new(self.final_off.as_mut_slice());
-            let index = &index;
-            let cost = KernelCost::stream(32 * n_pend as u64);
-            self.device
-                .parallel_for("restart_resolve", n_pend, cost, |i| {
-                    let c = pending[i] as usize;
-                    // SAFETY: chunk `c` appears once in `pending`; all state
-                    // slots for `c` are owned by this thread.
-                    unsafe {
-                        status.write(c, ST_CARRIED);
-                        if need_pos.read(c) != j {
-                            return; // waiting for an older record
-                        }
-                        let mut cur = need_chunk.read(c);
-                        match index {
-                            RecordIndex::Full => {
-                                status.write(c, ST_PAYLOAD);
-                                final_off.write(c, cur as u64 * chunk_size as u64);
-                            }
-                            RecordIndex::Basic { flags, ranks } => {
-                                if flags[cur as usize] == 1 {
-                                    status.write(c, ST_PAYLOAD);
-                                    final_off.write(c, ranks[cur as usize] * chunk_size as u64);
-                                } else if j == 0 {
-                                    status.write(c, ST_ZERO);
-                                } else {
-                                    need_pos.write(c, j - 1);
-                                }
-                            }
-                            RecordIndex::Regions { payload, shifts } => {
-                                // Chase within this record; a cycle among
-                                // same-record shifts exhausts the fuel.
-                                let mut fuel = shifts.len() + 1;
-                                loop {
-                                    let p = payload.partition_point(|r| r.chi <= cur);
-                                    if let Some(r) = payload.get(p) {
-                                        if r.clo <= cur && cur < r.chi {
-                                            status.write(c, ST_PAYLOAD);
-                                            final_off.write(
-                                                c,
-                                                r.off + (cur - r.clo) as u64 * chunk_size as u64,
-                                            );
-                                            break;
-                                        }
-                                    }
-                                    let s = shifts.partition_point(|r| r.chi <= cur);
-                                    if let Some(r) = shifts.get(s) {
-                                        if r.clo <= cur && cur < r.chi {
-                                            let src = r.slo + (cur - r.clo);
-                                            if r.ref_pos == j {
-                                                if fuel == 0 {
-                                                    status.write(c, ST_CYCLE);
-                                                    break;
-                                                }
-                                                fuel -= 1;
-                                                cur = src;
-                                                continue;
-                                            }
-                                            need_pos.write(c, r.ref_pos);
-                                            need_chunk.write(c, src);
-                                            break;
-                                        }
-                                    }
-                                    // Uncovered: a fixed duplicate — the
-                                    // chunk's content is the previous
-                                    // version's at the same position.
-                                    if j == 0 {
-                                        status.write(c, ST_ZERO);
-                                    } else {
-                                        need_pos.write(c, j - 1);
-                                        need_chunk.write(c, cur);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                });
-        }
-
-        // Resolution-table split: one device wave separates the chunks this
-        // record finalized from the ones carried to older records.
-        let status = &self.status;
-        let pending = &self.pending;
-        let (finalized, carried) = self
-            .device
-            .partition_where("restart_partition", n_pend, |i| {
-                status[pending[i] as usize] != ST_CARRIED
-            });
-
-        let mut regions: Vec<(usize, usize, usize)> = Vec::with_capacity(finalized.len());
-        let mut cycles = 0usize;
-        for &i in &finalized {
-            let c = self.pending[i as usize] as usize;
-            match self.status[c] {
-                ST_PAYLOAD => {
-                    let (a, b) = self.ck.byte_range(c);
-                    regions.push((a, b - a, self.final_off[c] as usize));
-                }
-                ST_ZERO => self.stats.zero_chunks += 1,
-                _ => cycles += 1,
+        let n_shifts = covers
+            .iter()
+            .filter(|cv| matches!(cv.src, Source::Shift { .. }))
+            .count();
+        let chases = covers
+            .iter()
+            .any(|cv| matches!(cv.src, Source::Shift { ref_pos, .. } if ref_pos == j));
+        let wt = &mut self.waiters;
+        if chases {
+            for (k, cv) in covers.iter().enumerate() {
+                wt.cover_of[cv.clo as usize..cv.chi as usize].fill(k as u32);
             }
         }
+
+        // Walk the covered chunks that have waiters. Waiters parked on an
+        // older position skip this record; the rest resolve here.
+        let chunk_size = self.ck.chunk_size() as u64;
+        let mut finalized: Vec<(u32, u64)> = Vec::with_capacity(self.remaining);
+        let (mut zeroed, mut cycles, mut walked) = (0u64, 0usize, 0u64);
+        for (k, cv) in covers.iter().enumerate() {
+            for s in cv.clo..cv.chi {
+                let mut w = std::mem::replace(&mut wt.head[s as usize], NIL);
+                while w != NIL {
+                    walked += 1;
+                    let after = wt.next[w as usize];
+                    if wt.pos[w as usize] < j {
+                        wt.wait(w, wt.pos[w as usize], s);
+                    } else {
+                        match wt.chase(w, k, s, j, &covers, n_shifts + 1) {
+                            Step::Payload { off, chunks } => {
+                                finalized.push((w, off + u64::from(chunks) * chunk_size));
+                            }
+                            Step::Zero => zeroed += 1,
+                            Step::Cycle => cycles += 1,
+                            Step::Waiting => {}
+                        }
+                    }
+                    w = after;
+                }
+            }
+        }
+        if chases {
+            for cv in &covers {
+                wt.cover_of[cv.clo as usize..cv.chi as usize].fill(NIL);
+            }
+        }
+        self.device.parallel_for(
+            "restart_resolve",
+            0,
+            KernelCost::stream(16 * walked),
+            |_| {},
+        );
         if cycles > 0 {
             return Err(RestoreError::UnresolvableShifts {
                 ckpt_id: diff.ckpt_id,
@@ -462,26 +464,25 @@ impl SinglePassRestore {
         }
 
         // One parallel copy wave for everything this record supplies.
-        let bytes: usize = regions.iter().map(|r| r.1).sum();
+        let bytes = copy_wave(&self.ck, &mut self.buf, &payload, &finalized);
         self.device.parallel_for(
             "restart_copy_wave",
             0,
             KernelCost::copy(bytes as u64),
             |_| {},
         );
-        copy_regions(&mut self.buf, &payload, &regions);
-        self.stats.regions_copied += regions.len() as u64;
+        self.stats.regions_copied += finalized.len() as u64;
         self.stats.bytes_copied += bytes as u64;
 
-        self.pending = carried
-            .into_iter()
-            .map(|i| self.pending[i as usize])
-            .collect();
-        debug_assert!(
-            j > 0 || self.pending.is_empty(),
-            "record position 0 must resolve every chunk"
-        );
-        self.done = self.pending.is_empty();
+        self.remaining -= finalized.len() + zeroed as usize;
+        self.stats.zero_chunks += zeroed;
+        if j == 0 {
+            // Whatever still waits is uncovered all the way down: the zero
+            // prefix sequential replay starts from.
+            self.stats.zero_chunks += self.remaining as u64;
+            self.remaining = 0;
+        }
+        self.done = self.remaining == 0;
         if !self.done {
             self.next_pos = j - 1;
         }
@@ -494,11 +495,59 @@ impl SinglePassRestore {
         if !self.done {
             return Err(RestoreError::UnresolvableShifts {
                 ckpt_id: self.base + self.next_pos,
-                remaining: self.pending.len(),
+                remaining: self.remaining,
             });
         }
         Ok((self.buf, self.stats))
     }
+}
+
+/// Copy each finalized `(target chunk, payload byte offset)` from `payload`
+/// into `buf`; returns the bytes copied. The walk emits targets in source
+/// order, so instead of sorting them a counting pass buckets them by chunk
+/// range: each bucket then owns one disjoint span of `buf`, and the spans
+/// copy on the thread pool.
+fn copy_wave(ck: &Chunking, buf: &mut [u8], payload: &[u8], finalized: &[(u32, u64)]) -> usize {
+    use rayon::prelude::*;
+    /// Chunk-range buckets per wave, and the bytes below which one thread
+    /// copies everything (the split/scheduling overhead wins).
+    const BUCKETS: usize = 64;
+    const PAR_MIN_BYTES: usize = 64 * 1024;
+
+    let copy = |span: &mut [u8], base: usize, &(w, src): &(u32, u64)| {
+        let (a, b) = ck.byte_range(w as usize);
+        let src = src as usize;
+        span[a - base..b - base].copy_from_slice(&payload[src..src + (b - a)]);
+        b - a
+    };
+    if finalized.len() * ck.chunk_size() < PAR_MIN_BYTES {
+        return finalized.iter().map(|f| copy(buf, 0, f)).sum();
+    }
+    let per = ck.n_chunks().div_ceil(BUCKETS);
+    let mut starts = [0usize; BUCKETS + 1];
+    for &(w, _) in finalized {
+        starts[w as usize / per + 1] += 1;
+    }
+    for b in 0..BUCKETS {
+        starts[b + 1] += starts[b];
+    }
+    let mut slot = starts;
+    let mut bucketed = vec![(0u32, 0u64); finalized.len()];
+    for &f in finalized {
+        let b = f.0 as usize / per;
+        bucketed[slot[b]] = f;
+        slot[b] += 1;
+    }
+    let span_bytes = per * ck.chunk_size();
+    buf.par_chunks_mut(span_bytes)
+        .enumerate()
+        .map(|(b, span)| {
+            bucketed[starts[b]..starts[b + 1]]
+                .iter()
+                .map(|f| copy(span, b * span_bytes, f))
+                .sum::<usize>()
+        })
+        .sum()
 }
 
 /// Restore version `target_index` of a (possibly compacted, base-offset)
@@ -715,6 +764,36 @@ mod tests {
         ];
         let err = restore_latest_single_pass(&device, 0, std::slice::from_ref(&cyc)).unwrap_err();
         assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
+    }
+
+    #[test]
+    fn overlapping_regions_are_typed_in_both_engines() {
+        // 4 chunks: the root payload region covers all of them, and a
+        // same-record shift also claims chunk 1 (leaf 4) — or a second
+        // payload region claims chunk 3 (leaf 6) again.
+        let mut shift_over_payload = tree_diff(0, 128);
+        shift_over_payload.first_regions = vec![0];
+        shift_over_payload.payload = [vec![2u8; 32], vec![1u8; 96]].concat();
+        shift_over_payload.shift_regions = vec![ShiftRegion {
+            node: 4,
+            ref_node: 3,
+            ref_ckpt: 0,
+        }];
+        let mut payload_over_payload = tree_diff(0, 128);
+        payload_over_payload.first_regions = vec![0, 6];
+        payload_over_payload.payload = vec![1u8; 160];
+        let device = Device::a100();
+        for d in [shift_over_payload, payload_over_payload] {
+            let overlap = RestoreError::OverlappingRegions { ckpt_id: 0 };
+            assert_eq!(
+                restore_record(std::slice::from_ref(&d)).unwrap_err(),
+                overlap
+            );
+            assert_eq!(
+                restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap_err(),
+                overlap
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub enum RestoreError {
     },
     /// A shifted duplicate's source span does not match its target span.
     SpanMismatch { node: u32, ref_node: u32 },
+    /// Payload or shift regions of one record cover the same chunk. Region
+    /// tables are disjoint by construction, so this is a malformed record.
+    OverlappingRegions { ckpt_id: u32 },
     /// Same-checkpoint shifted duplicates could not be resolved (cycle or
     /// corrupt reference).
     UnresolvableShifts { ckpt_id: u32, remaining: usize },
@@ -93,6 +96,9 @@ impl std::fmt::Display for RestoreError {
             }
             RestoreError::SpanMismatch { node, ref_node } => {
                 write!(f, "shift region {node} has mismatched source {ref_node}")
+            }
+            RestoreError::OverlappingRegions { ckpt_id } => {
+                write!(f, "checkpoint {ckpt_id} has overlapping region tables")
             }
             RestoreError::UnresolvableShifts { ckpt_id, remaining } => {
                 write!(
@@ -373,6 +379,18 @@ fn restore_regions(
         }
         regions.push((a, len, cursor));
         cursor += len;
+    }
+    let mut spans: Vec<(usize, usize)> = diff
+        .first_regions
+        .iter()
+        .chain(diff.shift_regions.iter().map(|s| &s.node))
+        .map(|&node| shape.chunk_range(node as usize))
+        .collect();
+    spans.sort_unstable();
+    if spans.windows(2).any(|w| w[0].1 > w[1].0) {
+        return Err(RestoreError::OverlappingRegions {
+            ckpt_id: diff.ckpt_id,
+        });
     }
     copy_regions(&mut buf, &payload, &regions);
 

@@ -546,7 +546,7 @@ enum Job {
 /// | `restore/chains_restored` | counter | parallel restarts completed (lazy) |
 /// | `restore/records_read` | counter | encoded diffs fetched by restart walks (lazy) |
 /// | `restore/bytes_read` | counter | encoded bytes fetched by restart walks (lazy) |
-/// | `restore/regions_copied` | counter | copy regions materialized by restarts (lazy) |
+/// | `restore/regions_copied` | counter | chunk copies emitted by restarts (lazy) |
 /// | `restore/bytes_copied` | counter | payload bytes gathered by restarts (lazy) |
 /// | `restore/fetch_wait_ns` | counter | restart time blocked on tier prefetch (lazy) |
 ///
@@ -1387,9 +1387,12 @@ mod tests {
         rt.wait_durable(&[(0, 0)]);
         assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![5; 256]));
         assert!(!rt.tiers().ssd.contains((0, 0)));
-        assert!(!rt.tiers().host.contains((0, 0)));
         let reg = Arc::clone(rt.telemetry());
+        // The PFS copy becomes visible before the host copy is evicted, so
+        // check eviction once shutdown has joined the flusher.
         rt.shutdown();
+        assert_eq!(reg.counter("tier/host/evictions").get(), 1);
+        assert_eq!(reg.gauge("tier/host/used_bytes").get(), 0);
         assert_eq!(reg.counter("runtime/degraded_flushes").get(), 1);
         assert_eq!(reg.counter("runtime/durable").get(), 1);
         assert!(reg.counter("runtime/retries").get() >= 3);
