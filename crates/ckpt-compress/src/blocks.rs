@@ -46,31 +46,43 @@ pub fn container_overhead(len: usize, block_size: usize) -> usize {
 /// thread count.
 pub fn compress_blocks(codec: &dyn Codec, data: &[u8], block_size: usize) -> Vec<u8> {
     assert!(block_size > 0, "block_size must be positive");
-    let blocks: Vec<Vec<u8>> = data
+    let packed: Vec<Vec<u8>> = data
         .par_chunks(block_size)
-        .map(|raw| {
-            let packed = codec.compress(raw);
-            // Store-fallback per block: never grow a block.
+        .map(|raw| codec.compress(raw))
+        .collect();
+    write_container(data, block_size, &packed)
+}
+
+/// Assemble the container for `data` from `packed[i]`, the codec's output
+/// for block `i` of `data` at `block_size`. Applies the per-block store
+/// fallback: a block whose encoding does not shrink it is stored raw. Every
+/// container is written here, whether its blocks were encoded by
+/// [`compress_blocks`] or by a caller that already holds the encodings.
+pub fn write_container(data: &[u8], block_size: usize, packed: &[Vec<u8>]) -> Vec<u8> {
+    assert!(block_size > 0, "block_size must be positive");
+    let n_blocks = data.len().div_ceil(block_size);
+    assert_eq!(packed.len(), n_blocks, "one encoding per block");
+    let bodies: Vec<&[u8]> = data
+        .chunks(block_size)
+        .zip(packed)
+        .map(|(raw, packed)| {
             if packed.len() < raw.len() {
-                packed
+                packed.as_slice()
             } else {
-                raw.to_vec()
+                raw
             }
         })
         .collect();
-    let n_blocks = data.len().div_ceil(block_size);
-    debug_assert_eq!(blocks.len(), n_blocks);
-    let body: usize = blocks.iter().map(Vec::len).sum();
+    let body: usize = bodies.iter().map(|b| b.len()).sum();
     let mut out = Vec::with_capacity(CONTAINER_HEADER + n_blocks * TOC_ENTRY + body);
     out.extend_from_slice(&(n_blocks as u32).to_le_bytes());
     out.extend_from_slice(&(block_size as u32).to_le_bytes());
-    for (i, packed) in blocks.iter().enumerate() {
-        let raw_len = block_size.min(data.len() - i * block_size);
-        out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(raw_len as u32).to_le_bytes());
+    for (raw, stored) in data.chunks(block_size).zip(&bodies) {
+        out.extend_from_slice(&(stored.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
     }
-    for packed in &blocks {
-        out.extend_from_slice(packed);
+    for stored in &bodies {
+        out.extend_from_slice(stored);
     }
     out
 }

@@ -6,7 +6,7 @@
 //! value 15 in either nibble chains into 255-valued extension bytes, exactly
 //! like real LZ4. The final sequence carries literals only (offset omitted).
 
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{copy_match, find_sequences, get_varint, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 /// LZ4-like byte-aligned LZ codec.
@@ -117,10 +117,7 @@ impl Codec for Lz4Like {
             if out.len() + match_len > raw_len {
                 return Err(CorruptStream("lz4 match overruns block"));
             }
-            for _ in 0..match_len {
-                let b = out[out.len() - offset];
-                out.push(b);
-            }
+            copy_match(&mut out, offset, match_len);
         }
         if out.len() != raw_len {
             return Err(CorruptStream("lz4 length mismatch"));

@@ -8,7 +8,7 @@
 //!
 //! Block prefix: varint uncompressed length.
 
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{copy_match, find_sequences, get_varint, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 /// Snappy-like fast LZ codec.
@@ -83,10 +83,7 @@ impl Codec for SnappyLike {
                 if offset == 0 || offset > out.len() {
                     return Err(CorruptStream("snappy offset out of range"));
                 }
-                for _ in 0..n {
-                    let b = out[out.len() - offset];
-                    out.push(b);
-                }
+                copy_match(&mut out, offset, n);
             }
         }
         if out.len() != raw_len {

@@ -13,7 +13,7 @@
 //! ```
 
 use crate::huffman;
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{copy_match, find_sequences, get_varint, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 fn compress_with(cfg: &MatchConfig, data: &[u8]) -> Vec<u8> {
@@ -68,10 +68,7 @@ fn decompress_with(data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
             if out.len() + match_len > raw_len {
                 return Err(CorruptStream("match overruns block"));
             }
-            for _ in 0..match_len {
-                let b = out[out.len() - offset];
-                out.push(b);
-            }
+            copy_match(&mut out, offset, match_len);
         }
     }
     if out.len() != raw_len {

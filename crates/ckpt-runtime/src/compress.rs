@@ -17,19 +17,29 @@
 //!   runtime.
 //! * `Fixed(codec)` — every object through one codec, still with the
 //!   store fallback when the container would not shrink it.
-//! * `Adaptive` — sample the object's first [`SAMPLE_LEN`] bytes through
-//!   each candidate (`ZstdLike`, `Lz4Like`, `Cascaded`), estimate the
-//!   ratio, and pick the candidate maximizing estimated bytes saved per
-//!   unit of encode cost (`(1 − ratio) / flops_per_byte`); if even the
-//!   best sample ratio clears [`STORE_RATIO`], store uncompressed.
+//! * `Adaptive` — trial-encode the object's first [`SAMPLE_LEN`] bytes
+//!   with the candidates (`ZstdLike`, `Lz4Like`, `Cascaded`) and pick the
+//!   one maximizing estimated bytes saved per unit of encode cost,
+//!   `(1 − ratio) / flops_per_byte` (ties to the earlier entry of
+//!   [`ADAPTIVE_CANDIDATES`]) — not simply the best ratio. If the winner's
+//!   sample ratio is not under [`STORE_RATIO`], store uncompressed.
+//!
+//! Adaptive selection is cheap without changing its answer. Candidates are
+//! probed cheapest first, and probing stops once a candidate's ceiling
+//! score `1 / flops_per_byte` (a ratio of 0, which no real encoding
+//! reaches) does not exceed the best score so far: it could not win. When
+//! the sample is the whole object (at most [`SAMPLE_LEN`] bytes, so one
+//! container block), the winner's probe output *is* the block encoding and
+//! the container is written from it instead of compressing the object
+//! again.
 //!
 //! Either way an object whose container fails to shrink below its raw size
 //! (frame extension included) is stored with codec 0 — compression can
 //! reorder the flush economics but never inflate a tier.
 
 use crate::tier::StoredObject;
-use ckpt_compress::blocks::{compress_blocks, DEFAULT_BLOCK_SIZE};
-use ckpt_compress::codec_by_id;
+use ckpt_compress::blocks::{compress_blocks, write_container, DEFAULT_BLOCK_SIZE};
+use ckpt_compress::{codec_by_id, Codec};
 use ckpt_dedup::frame::FRAME_EXT_LEN;
 use ckpt_telemetry::{Counter, Gauge, Registry};
 use std::sync::{Arc, OnceLock};
@@ -37,6 +47,10 @@ use std::time::Instant;
 
 /// Sampled prefix per object for adaptive codec selection.
 pub const SAMPLE_LEN: usize = 64 * 1024;
+
+// A payload that fits the sample is one container block, so the winning
+// probe output is that block's encoding.
+const _: () = assert!(SAMPLE_LEN <= DEFAULT_BLOCK_SIZE);
 
 /// Sample compression ratio (compressed/raw) above which adaptive mode
 /// stores the object uncompressed: the modeled write-time win would not
@@ -47,9 +61,24 @@ pub const STORE_RATIO: f64 = 0.95;
 /// frame extension plus container overhead eats the win.
 pub const MIN_COMPRESS_LEN: usize = 1024;
 
-/// Candidate codec ids for adaptive selection, probed in this order:
-/// ZstdLike (6), Lz4Like (1), Cascaded (3).
+/// Candidate codec ids for adaptive selection: ZstdLike (6), Lz4Like (1),
+/// Cascaded (3). Equal scores go to the earlier entry; probing runs in
+/// ascending `flops_per_byte` order (see [`probe_order`]).
 pub const ADAPTIVE_CANDIDATES: [u8; 3] = [6, 1, 3];
+
+/// [`ADAPTIVE_CANDIDATES`] as `(index, codec)`, cheapest encode first.
+fn probe_order() -> &'static [(usize, Box<dyn Codec>)] {
+    static ORDER: OnceLock<Vec<(usize, Box<dyn Codec>)>> = OnceLock::new();
+    ORDER.get_or_init(|| {
+        let mut order: Vec<_> = ADAPTIVE_CANDIDATES
+            .iter()
+            .map(|&id| codec_by_id(id).expect("registered candidate"))
+            .enumerate()
+            .collect();
+        order.sort_by(|a, b| a.1.flops_per_byte().total_cmp(&b.1.flops_per_byte()));
+        order
+    })
+}
 
 /// Per-object codec selection for the flush path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,8 +123,8 @@ impl CompressionPolicy {
 /// | `compress/bytes_in` | counter | uncompressed bytes entering the encoder |
 /// | `compress/bytes_out` | counter | stored bytes leaving it (incl. store fallbacks) |
 /// | `compress/ratio_pct` | gauge | cumulative `100·bytes_out/bytes_in` |
-/// | `compress/select_ns` | counter | adaptive sampling time |
-/// | `compress/encode_ns` | counter | container encode time (pool-parallel) |
+/// | `compress/select_ns` | counter | adaptive sampling time (every probe) |
+/// | `compress/encode_ns` | counter | container encode time (pool-parallel); near zero when the container reuses the winning probe |
 /// | `compress/decode_ns` | counter | container decode time on reads |
 /// | `compress/objects/<codec>` | counter | objects stored per codec (`store` = fallback) |
 pub struct CompressMetrics {
@@ -199,15 +228,16 @@ impl CompressionEngine {
     /// Encode one raw payload according to the policy. Infallible: any
     /// path that cannot shrink the payload falls back to codec 0.
     pub fn encode(&self, payload: Vec<u8>) -> StoredObject {
-        let codec_id = match self.policy {
+        let (codec_id, probe) = match self.policy {
             CompressionPolicy::Off => return StoredObject::raw(payload),
-            _ if payload.len() < MIN_COMPRESS_LEN => {
-                self.metrics
-                    .on_encode("store", payload.len() as u64, payload.len() as u64, 0);
-                return StoredObject::raw(payload);
+            _ if payload.len() < MIN_COMPRESS_LEN => (None, None),
+            CompressionPolicy::Fixed(id) => {
+                (Some(id).filter(|id| codec_by_id(*id).is_some()), None)
             }
-            CompressionPolicy::Fixed(id) => Some(id).filter(|id| codec_by_id(*id).is_some()),
-            CompressionPolicy::Adaptive => self.select(&payload),
+            CompressionPolicy::Adaptive => match self.select(&payload) {
+                Some((id, packed)) => (Some(id), Some(packed)),
+                None => (None, None),
+            },
         };
         let Some(codec_id) = codec_id else {
             self.metrics
@@ -216,7 +246,13 @@ impl CompressionEngine {
         };
         let codec = codec_by_id(codec_id).expect("validated codec id");
         let t0 = Instant::now();
-        let container = compress_blocks(&*codec, &payload, DEFAULT_BLOCK_SIZE);
+        let container = match probe {
+            // The sample was the whole payload: one block, already encoded.
+            Some(packed) if payload.len() <= SAMPLE_LEN => {
+                write_container(&payload, DEFAULT_BLOCK_SIZE, &[packed])
+            }
+            _ => compress_blocks(&*codec, &payload, DEFAULT_BLOCK_SIZE),
+        };
         let ns = t0.elapsed().as_nanos() as u64;
         // Object-level store fallback: the container (plus the frame's
         // uncompressed-length extension) must beat the raw payload.
@@ -238,25 +274,36 @@ impl CompressionEngine {
         }
     }
 
-    /// Adaptive selection: compress a prefix sample through each candidate
-    /// and score `(1 − ratio) / flops_per_byte` — estimated bytes saved per
-    /// unit encode cost. Returns `None` when storing wins.
-    fn select(&self, payload: &[u8]) -> Option<u8> {
+    /// Adaptive selection: score `(1 − ratio) / flops_per_byte` — estimated
+    /// bytes saved per unit encode cost — on a prefix sample. Returns the
+    /// winner with its encoding of the sample, or `None` when storing wins.
+    ///
+    /// Probes run cheapest first. A sample is never empty and no encoding
+    /// of it is empty, so every ratio is above 0 and every score below its
+    /// ceiling `1 / flops_per_byte`; once that ceiling is no higher than the
+    /// best score, the candidate (and every costlier one after it) loses.
+    fn select(&self, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
         let t0 = Instant::now();
         let sample = &payload[..payload.len().min(SAMPLE_LEN)];
-        let mut best: Option<(u8, f64, f64)> = None; // (id, score, ratio)
-        for id in ADAPTIVE_CANDIDATES {
-            let codec = codec_by_id(id).expect("registered candidate");
+        let mut best: Option<(usize, f64, f64, Vec<u8>)> = None; // (index, score, ratio, probe)
+        for (index, codec) in probe_order() {
+            let cost = codec.flops_per_byte().max(1.0);
+            if best.as_ref().is_some_and(|b| 1.0 / cost <= b.1) {
+                break;
+            }
             let packed = codec.compress(sample);
             let ratio = packed.len() as f64 / sample.len().max(1) as f64;
-            let score = (1.0 - ratio) / codec.flops_per_byte().max(1.0);
-            if best.is_none_or(|(_, s, _)| score > s) {
-                best = Some((id, score, ratio));
+            let score = (1.0 - ratio) / cost;
+            if best
+                .as_ref()
+                .is_none_or(|b| score > b.1 || (score == b.1 && *index < b.0))
+            {
+                best = Some((*index, score, ratio, packed));
             }
         }
         self.metrics.on_select(t0.elapsed().as_nanos() as u64);
-        best.filter(|&(_, _, ratio)| ratio < STORE_RATIO)
-            .map(|(id, _, _)| id)
+        best.filter(|b| b.2 < STORE_RATIO)
+            .map(|(index, _, _, packed)| (ADAPTIVE_CANDIDATES[index], packed))
     }
 }
 
@@ -283,6 +330,129 @@ mod tests {
                 seed as u8
             })
             .collect()
+    }
+
+    /// The exhaustive selection the pruned one must agree with: every
+    /// candidate probed in [`ADAPTIVE_CANDIDATES`] order, strict `>` on the
+    /// score.
+    fn exhaustive_select(payload: &[u8]) -> Option<u8> {
+        let sample = &payload[..payload.len().min(SAMPLE_LEN)];
+        let mut best: Option<(u8, f64, f64)> = None; // (id, score, ratio)
+        for id in ADAPTIVE_CANDIDATES {
+            let codec = codec_by_id(id).expect("registered candidate");
+            let packed = codec.compress(sample);
+            let ratio = packed.len() as f64 / sample.len().max(1) as f64;
+            let score = (1.0 - ratio) / codec.flops_per_byte().max(1.0);
+            if best.is_none_or(|(_, s, _)| score > s) {
+                best = Some((id, score, ratio));
+            }
+        }
+        best.filter(|&(_, _, ratio)| ratio < STORE_RATIO)
+            .map(|(id, _, _)| id)
+    }
+
+    /// What adaptive `encode` stored before pruning and probe reuse: the
+    /// exhaustive choice through `compress_blocks`, with both fallbacks.
+    fn exhaustive_encode(payload: &[u8]) -> (u8, Vec<u8>) {
+        let Some(id) = exhaustive_select(payload).filter(|_| payload.len() >= MIN_COMPRESS_LEN)
+        else {
+            return (0, payload.to_vec());
+        };
+        let container = compress_blocks(&*codec_by_id(id).unwrap(), payload, DEFAULT_BLOCK_SIZE);
+        if container.len() + FRAME_EXT_LEN >= payload.len() {
+            (0, payload.to_vec())
+        } else {
+            (id, container)
+        }
+    }
+
+    #[test]
+    fn pruned_selection_and_reused_probes_store_identical_bytes() {
+        let words = |len: usize, f: &dyn Fn(u32) -> u32| -> Vec<u8> {
+            (0..len.div_ceil(4) as u32)
+                .flat_map(|i| f(i).to_le_bytes())
+                .take(len)
+                .collect()
+        };
+        let mixed = |len: usize| -> Vec<u8> {
+            let mut d = words(len / 3, &|i| i / 5);
+            d.extend(std::iter::repeat_n(0xAB, len / 3));
+            d.extend(noise(len - d.len(), len as u64 | 1));
+            d
+        };
+        // Repeats at odd periods (an LZ win, not a lane win).
+        let text = |len: usize| -> Vec<u8> {
+            (0..)
+                .flat_map(|i: u32| format!("rank {} ckpt {} ok; ", i % 37, i % 11).into_bytes())
+                .take(len)
+                .collect()
+        };
+        // No repeats but skewed bytes (only the entropy stage wins).
+        let skewed = |len: usize| -> Vec<u8> {
+            noise(len, 0xfeed)
+                .iter()
+                .map(|&b| b'a' + (b & 15))
+                .collect()
+        };
+        // Counter blocks between copies of one noise block: cascaded
+        // compresses it to ~60% and lz4 much further, so the winner is the
+        // second probe and pruning must not skip it.
+        let blend = |len: usize| -> Vec<u8> {
+            let block = noise(1536, 0xb1e2d);
+            let mut d = Vec::with_capacity(len + 2560);
+            while d.len() < len {
+                d.extend(words(1024, &|i| i / 16 + d.len() as u32));
+                d.extend_from_slice(&block);
+            }
+            d.truncate(len);
+            d
+        };
+        let (eng, _reg) = engine(CompressionPolicy::Adaptive);
+        let mut picked = std::collections::BTreeSet::new();
+        for len in [
+            MIN_COMPRESS_LEN - 1,
+            MIN_COMPRESS_LEN,
+            MIN_COMPRESS_LEN + 3,
+            5_000,
+            SAMPLE_LEN - 1,
+            SAMPLE_LEN,
+            SAMPLE_LEN + 1,
+            DEFAULT_BLOCK_SIZE + 7,
+            2 * DEFAULT_BLOCK_SIZE + SAMPLE_LEN,
+        ] {
+            for (kind, data) in [
+                ("noise", noise(len, 0x5eed ^ len as u64)),
+                ("counters", words(len, &|i| i / 9)),
+                ("slow counters", words(len, &|i| 1_000 + i / 200)),
+                (
+                    "steps",
+                    words(len, &|i| i.wrapping_mul(2_654_435_761) >> 28),
+                ),
+                ("runs", (0..len).map(|i| (i / 700) as u8).collect()),
+                ("mixed", mixed(len)),
+                ("text", text(len)),
+                ("skewed", skewed(len)),
+                ("blend", blend(len)),
+            ] {
+                let chosen = eng.select(&data).map(|(id, _)| id);
+                assert_eq!(chosen, exhaustive_select(&data), "{kind}, len {len}");
+                picked.insert(chosen);
+                let (codec, payload) = exhaustive_encode(&data);
+                let obj = eng.encode(data.clone());
+                assert_eq!(obj.codec, codec, "{kind}, len {len}");
+                assert!(
+                    obj.payload == payload,
+                    "{kind}, len {len}: container differs"
+                );
+                assert_eq!(obj.decode().unwrap(), data);
+            }
+        }
+        // The inputs exercise store and every candidate.
+        assert_eq!(
+            picked,
+            [None, Some(1), Some(3), Some(6)].into(),
+            "{picked:?}"
+        );
     }
 
     #[test]
