@@ -112,7 +112,15 @@ pub enum DecodeError {
     BadMagic,
     BadVersion(u16),
     BadKind(u8),
-    LengthMismatch { expected: usize, actual: usize },
+    LengthMismatch {
+        expected: usize,
+        actual: usize,
+    },
+    /// A region table names a tree node the buffer's tree does not have.
+    NodeOutOfRange {
+        node: u32,
+        n_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -124,6 +132,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadKind(k) => write!(f, "unknown method kind {k}"),
             DecodeError::LengthMismatch { expected, actual } => {
                 write!(f, "diff length mismatch: expected {expected}, got {actual}")
+            }
+            DecodeError::NodeOutOfRange { node, n_nodes } => {
+                write!(f, "region node {node} outside the {n_nodes}-node tree")
             }
         }
     }
@@ -251,15 +262,24 @@ impl Diff {
         let mut first_regions = Vec::new();
         let mut shift_regions = Vec::new();
         if keep_first {
+            // Every node must exist in the buffer's tree (2n - 1 nodes).
+            let n_nodes = n_chunks.saturating_mul(2).saturating_sub(1);
+            let node_at = |at: usize| {
+                let node = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+                if node as usize >= n_nodes {
+                    return Err(DecodeError::NodeOutOfRange { node, n_nodes });
+                }
+                Ok(node)
+            };
             first_regions.reserve(n_first);
             for _ in 0..n_first {
-                first_regions.push(u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()));
+                first_regions.push(node_at(pos)?);
                 pos += 4;
             }
             shift_regions.reserve(n_shift);
             for _ in 0..n_shift {
-                let node = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-                let ref_node = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
+                let node = node_at(pos)?;
+                let ref_node = node_at(pos + 4)?;
                 let ref_ckpt = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap());
                 shift_regions.push(ShiftRegion {
                     node,
@@ -400,6 +420,46 @@ mod tests {
             Diff::decode(&bytes),
             Err(DecodeError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_tree_nodes() {
+        // 128 B in 32 B chunks: a 7-node tree.
+        let base = Diff {
+            kind: MethodKind::Tree,
+            ckpt_id: 0,
+            data_len: 128,
+            chunk_size: 32,
+            first_regions: vec![0],
+            shift_regions: Vec::new(),
+            bitmap: Vec::new(),
+            payload_codec: 0,
+            payload: vec![1u8; 128],
+        };
+        let out_of_range = DecodeError::NodeOutOfRange {
+            node: 5000,
+            n_nodes: 7,
+        };
+        for (node, ref_node) in [(5000, 5000), (4, 5000), (5000, 3)] {
+            let mut d = base.clone();
+            d.shift_regions.push(ShiftRegion {
+                node,
+                ref_node,
+                ref_ckpt: 0,
+            });
+            assert_eq!(Diff::decode(&d.encode()), Err(out_of_range.clone()));
+        }
+        let mut d = base.clone();
+        d.first_regions = vec![5000];
+        assert_eq!(Diff::decode(&d.encode()), Err(out_of_range));
+        // The last node of the tree is still accepted.
+        let mut d = base;
+        d.shift_regions.push(ShiftRegion {
+            node: 6,
+            ref_node: 6,
+            ref_ckpt: 0,
+        });
+        assert_eq!(Diff::decode(&d.encode()), Ok(d));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use restart::{
     is_self_contained, restore_latest_single_pass, restore_version_single_pass, RestartStats,
     SinglePassRestore,
 };
-pub use restore::{restore_latest, restore_record, restore_record_from, RestoreError, Restorer};
+pub use restore::{restore_latest, restore_record, restore_record_from, RestoreError};
 pub use stats::{CheckpointStats, RecordStats};
 pub use tree::{MerkleTree, TreeShape};
 
@@ -90,7 +90,7 @@ pub mod prelude {
         is_self_contained, restore_latest_single_pass, restore_version_single_pass,
         SinglePassRestore,
     };
-    pub use crate::restore::{restore_latest, restore_record, restore_record_from, Restorer};
+    pub use crate::restore::{restore_latest, restore_record, restore_record_from};
     pub use crate::stats::{CheckpointStats, RecordStats};
     pub use crate::MethodKind;
 }

@@ -4,15 +4,16 @@
 //!
 //! The paper's §5 lists "scalable reconstruction techniques that efficiently
 //! collect scattered compact regions from multiple previous checkpoints" as
-//! future work. This module implements one: a per-version interval index
-//! over the diff's regions. A read of `(version, byte range)` walks the
-//! region that covers each position —
+//! future work. This module implements one: each version is indexed by the
+//! restart engine's cover table (the crate's one decoder of region tables,
+//! so both reject malformed records with the same typed errors). A read of
+//! `(version, byte range)` walks the cover that holds each position —
 //!
 //! * **first occurrence** → the bytes come from that diff's payload;
 //! * **shifted duplicate** → the read is redirected to the referenced
 //!   checkpoint at the referenced node's range;
-//! * **not covered by any region (fixed duplicate)** → the read is
-//!   redirected to the same range of the previous version —
+//! * **not covered (fixed duplicate)** → the read is redirected to the same
+//!   range of the previous version —
 //!
 //! recursing until every sub-range lands in payload bytes. Cost is
 //! proportional to the bytes read times the redirection depth, never to the
@@ -21,62 +22,31 @@
 
 use crate::chunking::Chunking;
 use crate::diff::{Diff, MethodKind};
-use crate::restore::RestoreError;
+use crate::restart::{cover_table, Cover, Source};
+use crate::restore::{decoded_payload, RestoreError};
 use crate::tree::TreeShape;
 
-/// Where one contiguous region of a version's bytes comes from.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    /// Offset into this diff's (decoded) payload.
-    Payload { payload_off: usize },
-    /// Redirect to `(ckpt, byte offset)`.
-    Redirect { ckpt: u32, src_off: usize },
-}
-
-/// One indexed region: bytes `[start, start + len)` of the version.
-#[derive(Debug, Clone, Copy)]
-struct Region {
-    start: usize,
-    len: usize,
-    source: Source,
-}
-
-/// Interval index over one version's diff.
+/// One version's cover table and decoded payload.
 struct VersionIndex {
-    /// Regions sorted by `start`, non-overlapping.
-    regions: Vec<Region>,
+    covers: Vec<Cover>,
     /// Decoded payload (decompressed once at index build).
     payload: Vec<u8>,
-}
-
-impl VersionIndex {
-    /// Binary-search the region covering `pos`, if any.
-    fn covering(&self, pos: usize) -> Option<&Region> {
-        let idx = self.regions.partition_point(|r| r.start <= pos);
-        let r = &self.regions[..idx].last()?;
-        (pos < r.start + r.len).then_some(r)
-    }
-
-    /// The next region start after `pos` (bounds gap scans).
-    fn next_start_after(&self, pos: usize) -> Option<usize> {
-        let idx = self.regions.partition_point(|r| r.start <= pos);
-        self.regions.get(idx).map(|r| r.start)
-    }
 }
 
 /// Random-access reader over an ordered record of diffs.
 pub struct RecordReader {
     data_len: usize,
+    chunk_size: usize,
     versions: Vec<VersionIndex>,
     /// Defensive bound on redirect depth (see [`Self::read_at`]).
     max_fuel: usize,
 }
 
 impl RecordReader {
-    /// Build the index from an ordered record (same validation rules as
-    /// [`crate::restore::restore_record`]). Supports the region-based
-    /// methods (`Tree`, `List`) and `Full`; `Basic` records are expressible
-    /// too (each changed chunk becomes a payload region).
+    /// Build the index from an ordered record whose ids start at 0 (same
+    /// validation rules as [`crate::restore::restore_record`]). Malformed
+    /// region tables are rejected here with the restart engine's typed
+    /// errors. Supports every method.
     pub fn build(diffs: &[Diff]) -> Result<RecordReader, RestoreError> {
         let mut versions = Vec::with_capacity(diffs.len());
         let mut geometry: Option<(usize, usize, MethodKind)> = None;
@@ -103,113 +73,25 @@ impl RecordReader {
                     }
                 }
             }
-            versions.push(Self::index_one(diff)?);
+            let ck = Chunking::new(diff.data_len as usize, diff.chunk_size as usize);
+            let payload = decoded_payload(diff)?.into_owned();
+            let covers = cover_table(&ck, &TreeShape::new(ck.n_chunks()), 0, diff, payload.len())?;
+            versions.push(VersionIndex { covers, payload });
         }
-        let data_len = geometry.map(|(l, _, _)| l).unwrap_or(0);
+        let (data_len, chunk_size) = geometry.map_or((0, 1), |(l, cs, _)| (l, cs));
         // Redirect chains are acyclic on well-formed records; their depth is
         // bounded by the versions traversed times the tree height (nested
         // same-checkpoint twins resolve one level at a time — highly
         // self-similar data genuinely reaches that bound).
-        let n_chunks = geometry
-            .map(|(l, cs, _)| l.div_ceil(cs.max(1)).max(1))
-            .unwrap_or(1);
+        let n_chunks = data_len.div_ceil(chunk_size).max(1);
         let height = usize::BITS as usize - n_chunks.leading_zeros() as usize + 1;
         let max_fuel = (diffs.len() + 1) * (2 * height + 6);
         Ok(RecordReader {
             data_len,
+            chunk_size,
             versions,
             max_fuel,
         })
-    }
-
-    fn index_one(diff: &Diff) -> Result<VersionIndex, RestoreError> {
-        let payload = crate::restore::decoded_payload(diff)?.into_owned();
-        let data_len = diff.data_len as usize;
-        let ck = Chunking::new(data_len, diff.chunk_size as usize);
-        let mut regions = Vec::new();
-
-        match diff.kind {
-            MethodKind::Full => {
-                if payload.len() != data_len {
-                    return Err(RestoreError::PayloadTruncated {
-                        ckpt_id: diff.ckpt_id,
-                    });
-                }
-                regions.push(Region {
-                    start: 0,
-                    len: data_len,
-                    source: Source::Payload { payload_off: 0 },
-                });
-            }
-            MethodKind::Basic => {
-                let mut payload_off = 0usize;
-                for c in 0..ck.n_chunks() {
-                    if crate::diff::bitmap::get(&diff.bitmap, c) {
-                        let (a, b) = ck.byte_range(c);
-                        if payload_off + (b - a) > payload.len() {
-                            return Err(RestoreError::PayloadTruncated {
-                                ckpt_id: diff.ckpt_id,
-                            });
-                        }
-                        regions.push(Region {
-                            start: a,
-                            len: b - a,
-                            source: Source::Payload { payload_off },
-                        });
-                        payload_off += b - a;
-                    }
-                }
-            }
-            MethodKind::List | MethodKind::Tree => {
-                let shape = TreeShape::new(ck.n_chunks());
-                let mut payload_off = 0usize;
-                for &node in &diff.first_regions {
-                    let (clo, chi) = shape.chunk_range(node as usize);
-                    let (a, b) = ck.byte_range_of_chunks(clo, chi);
-                    if payload_off + (b - a) > payload.len() {
-                        return Err(RestoreError::PayloadTruncated {
-                            ckpt_id: diff.ckpt_id,
-                        });
-                    }
-                    regions.push(Region {
-                        start: a,
-                        len: b - a,
-                        source: Source::Payload { payload_off },
-                    });
-                    payload_off += b - a;
-                }
-                for s in &diff.shift_regions {
-                    let (dlo, dhi) = shape.chunk_range(s.node as usize);
-                    let (da, db) = ck.byte_range_of_chunks(dlo, dhi);
-                    let (slo, shi) = shape.chunk_range(s.ref_node as usize);
-                    let (sa, sb) = ck.byte_range_of_chunks(slo, shi);
-                    if db - da != sb - sa {
-                        return Err(RestoreError::SpanMismatch {
-                            node: s.node,
-                            ref_node: s.ref_node,
-                        });
-                    }
-                    regions.push(Region {
-                        start: da,
-                        len: db - da,
-                        source: Source::Redirect {
-                            ckpt: s.ref_ckpt,
-                            src_off: sa,
-                        },
-                    });
-                }
-            }
-        }
-        regions.sort_unstable_by_key(|r| r.start);
-        for w in regions.windows(2) {
-            if w[0].start + w[0].len > w[1].start {
-                return Err(RestoreError::UnresolvableShifts {
-                    ckpt_id: diff.ckpt_id,
-                    remaining: 0,
-                });
-            }
-        }
-        Ok(VersionIndex { regions, payload })
     }
 
     /// Number of indexed versions.
@@ -234,7 +116,10 @@ impl RecordReader {
                 ref_ckpt: version,
             });
         }
-        if offset + out.len() > self.data_len {
+        if offset
+            .checked_add(out.len())
+            .is_none_or(|end| end > self.data_len)
+        {
             return Err(RestoreError::PayloadTruncated { ckpt_id: version });
         }
         // Redirection depth is bounded by the acyclicity of references, but a
@@ -263,39 +148,37 @@ impl RecordReader {
             });
         }
         let vi = &self.versions[version as usize];
-        let mut pos = offset;
+        let cs = self.chunk_size;
         let end = offset + out.len();
+        let mut pos = offset;
         while pos < end {
-            let (run_len, action) = match vi.covering(pos) {
-                Some(r) => {
-                    let run = (r.start + r.len - pos).min(end - pos);
-                    (run, Some((*r, pos - r.start)))
+            // The cover holding `pos`'s chunk, else the next one after it.
+            let c = (pos / cs) as u32;
+            let k = vi.covers.partition_point(|cv| cv.chi <= c);
+            let next = vi.covers.get(k);
+            let dst_at = pos - offset;
+            match next.filter(|cv| cv.clo <= c) {
+                Some(cv) => {
+                    let into = pos - cv.clo as usize * cs;
+                    let run = ((cv.chi as usize * cs).min(self.data_len)).min(end) - pos;
+                    let dst = &mut out[dst_at..dst_at + run];
+                    match cv.src {
+                        Source::Payload(off) => {
+                            let src = off as usize + into;
+                            dst.copy_from_slice(&vi.payload[src..src + run]);
+                        }
+                        Source::Shift { slo, ref_pos } => {
+                            self.read_inner(ref_pos, slo as usize * cs + into, dst, fuel - 1)?;
+                        }
+                    }
+                    pos += run;
                 }
                 None => {
                     // A gap: fixed-duplicate bytes from the previous version.
-                    let gap_end = vi.next_start_after(pos).unwrap_or(self.data_len).min(end);
-                    (gap_end - pos, None)
-                }
-            };
-            let dst = &mut out[pos - offset..pos - offset + run_len];
-            match action {
-                Some((r, into)) => match r.source {
-                    Source::Payload { payload_off } => {
-                        dst.copy_from_slice(
-                            &vi.payload[payload_off + into..payload_off + into + run_len],
-                        );
-                    }
-                    Source::Redirect { ckpt, src_off } => {
-                        if ckpt as usize >= self.versions.len() {
-                            return Err(RestoreError::ForwardReference {
-                                ckpt_id: version,
-                                ref_ckpt: ckpt,
-                            });
-                        }
-                        self.read_inner(ckpt, src_off + into, dst, fuel - 1)?;
-                    }
-                },
-                None => {
+                    let gap_end = next
+                        .map_or(self.data_len, |cv| cv.clo as usize * cs)
+                        .min(end);
+                    let dst = &mut out[dst_at..gap_end - offset];
                     if version == 0 {
                         // Gaps in version 0 are zero bytes (the initial
                         // buffer before any region wrote it).
@@ -303,9 +186,9 @@ impl RecordReader {
                     } else {
                         self.read_inner(version - 1, pos, dst, fuel - 1)?;
                     }
+                    pos = gap_end;
                 }
             }
-            pos += run_len;
         }
         Ok(())
     }
@@ -381,6 +264,14 @@ mod tests {
         let mut out = vec![0u8; 16];
         assert!(reader.read_at(5, 0, &mut out).is_err()); // no such version
         assert!(reader.read_at(0, reader.data_len() - 8, &mut out).is_err()); // past end
+
+        // `offset + len` overflows usize: rejected, buffer untouched.
+        let mut two = [9u8, 9];
+        assert_eq!(
+            reader.read_at(0, usize::MAX, &mut two),
+            Err(RestoreError::PayloadTruncated { ckpt_id: 0 })
+        );
+        assert_eq!(two, [9, 9]);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Single-pass parallel restart: last-writer-wins restore without
-//! materializing intermediate checkpoints.
+//! materializing intermediate checkpoints. This is the production restore
+//! path (the runtime's restart, `ckpt restore`, the benchmarks); the
+//! sequential replay in [`crate::restore`] is kept only as its reference.
 //!
-//! The sequential [`Restorer`](crate::restore::Restorer) replays a record
-//! front-to-back, cloning and patching every version on the way to the one
-//! that is actually wanted — O(chain length × checkpoint size) bytes moved
-//! for a single restore. This module walks the chain the other way, starting
-//! from the target checkpoint. Every target chunk is a *waiter* linked on the
-//! source chunk whose content it currently needs. A record that does not
-//! cover that chunk leaves the waiter alone (a fixed duplicate simply carries
-//! to older records at no cost), so visiting a record only walks the chunks
-//! its region tables cover: a payload cover *finalizes* the waiters there, a
-//! shifted duplicate relinks them onto its source chunk (possibly in an older
-//! record). Each visited record then contributes exactly one parallel copy
-//! wave for the chunks it finalized. Total bytes moved: one
-//! checkpoint's worth, regardless of chain length; resolution work per record
-//! is proportional to what that record covers.
+//! The sequential [`restore_record`](crate::restore::restore_record) replays
+//! a record front-to-back, cloning and patching every version on the way to
+//! the one that is actually wanted — O(chain length × checkpoint size) bytes
+//! moved for a single restore. This module walks the chain the other way,
+//! starting from the target checkpoint. Every target chunk is a *waiter*
+//! linked on the source chunk whose content it currently needs. A record that
+//! does not cover that chunk leaves the waiter alone (a fixed duplicate
+//! simply carries to older records at no cost), so visiting a record only
+//! walks the chunks its region tables cover: a payload cover *finalizes* the
+//! waiters there, a shifted duplicate relinks them onto its source chunk
+//! (possibly in an older record). Each visited record then contributes
+//! exactly one parallel copy wave for the chunks it finalized. Total bytes
+//! moved: one checkpoint's worth, regardless of chain length; resolution work
+//! per record is proportional to what that record covers.
 //!
 //! **Determinism:** each target chunk is finalized exactly once, at the one
 //! record that supplies it, so the copy destinations are disjoint and the
@@ -86,7 +88,7 @@ pub fn is_self_contained(diff: &Diff) -> bool {
 
 /// Where a record takes the content of the chunks one cover spans.
 #[derive(Clone, Copy)]
-enum Source {
+pub(crate) enum Source {
     /// The decoded payload, from this byte offset on.
     Payload(u64),
     /// Source chunks from `slo` on, as of record position `ref_pos`.
@@ -96,10 +98,121 @@ enum Source {
 /// One interval of a record's cover table: chunks `clo..chi` and their
 /// source. A record's covers are sorted by `clo` and pairwise disjoint.
 #[derive(Clone, Copy)]
-struct Cover {
-    clo: u32,
-    chi: u32,
-    src: Source,
+pub(crate) struct Cover {
+    pub(crate) clo: u32,
+    pub(crate) chi: u32,
+    pub(crate) src: Source,
+}
+
+/// Build the cover table of `diff` (payload offsets in bytes) for a chain
+/// based at `base`: its region tables as sorted, disjoint chunk intervals.
+/// The one decoder of region tables behind the restart engine and
+/// [`RecordReader`](crate::random_access::RecordReader); malformed tables
+/// are typed here (`PayloadTruncated`, `ForwardReference`, `RefBelowBase`,
+/// `SpanMismatch`, `OverlappingRegions`).
+pub(crate) fn cover_table(
+    ck: &Chunking,
+    shape: &TreeShape,
+    base: u32,
+    diff: &Diff,
+    payload_len: usize,
+) -> Result<Vec<Cover>, RestoreError> {
+    let n = ck.n_chunks();
+    let truncated = RestoreError::PayloadTruncated {
+        ckpt_id: diff.ckpt_id,
+    };
+    // Payload covers take consecutive payload bytes in table order.
+    let mut cursor = 0usize;
+    let mut payload_cover = |clo: usize, chi: usize| {
+        let (a, b) = ck.byte_range_of_chunks(clo, chi);
+        if cursor + (b - a) > payload_len {
+            return Err(truncated.clone());
+        }
+        let cover = Cover {
+            clo: clo as u32,
+            chi: chi as u32,
+            src: Source::Payload(cursor as u64),
+        };
+        cursor += b - a;
+        Ok(cover)
+    };
+    match diff.kind {
+        MethodKind::Full => {
+            if payload_len != ck.data_len() {
+                return Err(truncated);
+            }
+            Ok(vec![Cover {
+                clo: 0,
+                chi: n as u32,
+                src: Source::Payload(0),
+            }])
+        }
+        MethodKind::Basic => {
+            // Each run of changed chunks is one payload cover.
+            let mut covers = Vec::new();
+            let mut c = 0;
+            while c < n {
+                if !bitmap::get(&diff.bitmap, c) {
+                    c += 1;
+                    continue;
+                }
+                let clo = c;
+                while c < n && bitmap::get(&diff.bitmap, c) {
+                    c += 1;
+                }
+                covers.push(payload_cover(clo, c)?);
+            }
+            Ok(covers)
+        }
+        MethodKind::List | MethodKind::Tree => {
+            let mut covers =
+                Vec::with_capacity(diff.first_regions.len() + diff.shift_regions.len());
+            for &node in &diff.first_regions {
+                let (clo, chi) = shape.chunk_range(node as usize);
+                covers.push(payload_cover(clo, chi)?);
+            }
+            for s in &diff.shift_regions {
+                if s.ref_ckpt > diff.ckpt_id {
+                    return Err(RestoreError::ForwardReference {
+                        ckpt_id: diff.ckpt_id,
+                        ref_ckpt: s.ref_ckpt,
+                    });
+                }
+                let Some(ref_pos) = s.ref_ckpt.checked_sub(base) else {
+                    return Err(RestoreError::RefBelowBase {
+                        ckpt_id: diff.ckpt_id,
+                        ref_ckpt: s.ref_ckpt,
+                        base,
+                    });
+                };
+                let (clo, chi) = shape.chunk_range(s.node as usize);
+                let (slo, shi) = shape.chunk_range(s.ref_node as usize);
+                let (da, db) = ck.byte_range_of_chunks(clo, chi);
+                let (sa, sb) = ck.byte_range_of_chunks(slo, shi);
+                if db - da != sb - sa {
+                    return Err(RestoreError::SpanMismatch {
+                        node: s.node,
+                        ref_node: s.ref_node,
+                    });
+                }
+                covers.push(Cover {
+                    clo: clo as u32,
+                    chi: chi as u32,
+                    src: Source::Shift {
+                        slo: slo as u32,
+                        ref_pos,
+                    },
+                });
+            }
+            covers.sort_unstable_by_key(|cv| cv.clo);
+            if covers.windows(2).any(|w| w[0].chi > w[1].clo) {
+                return Err(RestoreError::OverlappingRegions {
+                    ckpt_id: diff.ckpt_id,
+                });
+            }
+            Ok(covers)
+        }
+    }
 }
 
 /// How one waiter's chase through the visited record ended.
@@ -273,107 +386,6 @@ impl SinglePassRestore {
         (!self.done).then_some(self.next_pos)
     }
 
-    /// Build the cover table of `diff` (payload offsets in bytes), validating
-    /// its tables the same way the sequential restorer does.
-    fn cover_table(&self, diff: &Diff, payload_len: usize) -> Result<Vec<Cover>, RestoreError> {
-        let n = self.ck.n_chunks();
-        let truncated = RestoreError::PayloadTruncated {
-            ckpt_id: diff.ckpt_id,
-        };
-        // Payload covers take consecutive payload bytes in table order.
-        let mut cursor = 0usize;
-        let mut payload_cover = |clo: usize, chi: usize| {
-            let (a, b) = self.ck.byte_range_of_chunks(clo, chi);
-            if cursor + (b - a) > payload_len {
-                return Err(truncated.clone());
-            }
-            let cover = Cover {
-                clo: clo as u32,
-                chi: chi as u32,
-                src: Source::Payload(cursor as u64),
-            };
-            cursor += b - a;
-            Ok(cover)
-        };
-        match diff.kind {
-            MethodKind::Full => {
-                if payload_len != self.ck.data_len() {
-                    return Err(truncated);
-                }
-                Ok(vec![Cover {
-                    clo: 0,
-                    chi: n as u32,
-                    src: Source::Payload(0),
-                }])
-            }
-            MethodKind::Basic => {
-                // Each run of changed chunks is one payload cover.
-                let mut covers = Vec::new();
-                let mut c = 0;
-                while c < n {
-                    if !bitmap::get(&diff.bitmap, c) {
-                        c += 1;
-                        continue;
-                    }
-                    let clo = c;
-                    while c < n && bitmap::get(&diff.bitmap, c) {
-                        c += 1;
-                    }
-                    covers.push(payload_cover(clo, c)?);
-                }
-                Ok(covers)
-            }
-            MethodKind::List | MethodKind::Tree => {
-                let mut covers =
-                    Vec::with_capacity(diff.first_regions.len() + diff.shift_regions.len());
-                for &node in &diff.first_regions {
-                    let (clo, chi) = self.shape.chunk_range(node as usize);
-                    covers.push(payload_cover(clo, chi)?);
-                }
-                for s in &diff.shift_regions {
-                    if s.ref_ckpt > diff.ckpt_id {
-                        return Err(RestoreError::ForwardReference {
-                            ckpt_id: diff.ckpt_id,
-                            ref_ckpt: s.ref_ckpt,
-                        });
-                    }
-                    let Some(ref_pos) = s.ref_ckpt.checked_sub(self.base) else {
-                        return Err(RestoreError::RefBelowBase {
-                            ckpt_id: diff.ckpt_id,
-                            ref_ckpt: s.ref_ckpt,
-                            base: self.base,
-                        });
-                    };
-                    let (clo, chi) = self.shape.chunk_range(s.node as usize);
-                    let (slo, shi) = self.shape.chunk_range(s.ref_node as usize);
-                    let (da, db) = self.ck.byte_range_of_chunks(clo, chi);
-                    let (sa, sb) = self.ck.byte_range_of_chunks(slo, shi);
-                    if db - da != sb - sa {
-                        return Err(RestoreError::SpanMismatch {
-                            node: s.node,
-                            ref_node: s.ref_node,
-                        });
-                    }
-                    covers.push(Cover {
-                        clo: clo as u32,
-                        chi: chi as u32,
-                        src: Source::Shift {
-                            slo: slo as u32,
-                            ref_pos,
-                        },
-                    });
-                }
-                covers.sort_unstable_by_key(|cv| cv.clo);
-                if covers.windows(2).any(|w| w[0].chi > w[1].clo) {
-                    return Err(RestoreError::OverlappingRegions {
-                        ckpt_id: diff.ckpt_id,
-                    });
-                }
-                Ok(covers)
-            }
-        }
-    }
-
     /// Visit the next record (position [`next_position`](Self::next_position),
     /// newest first). Returns `true` when every chunk is resolved and the
     /// remaining (older) records are not needed.
@@ -401,7 +413,7 @@ impl SinglePassRestore {
         }
 
         let payload = decoded_payload(diff)?;
-        let covers = self.cover_table(diff, payload.len())?;
+        let covers = cover_table(&self.ck, &self.shape, self.base, diff, payload.len())?;
         self.stats.records_visited += 1;
 
         let n_shifts = covers
@@ -767,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_regions_are_typed_in_both_engines() {
+    fn overlapping_regions_are_typed_in_every_engine() {
         // 4 chunks: the root payload region covers all of them, and a
         // same-record shift also claims chunk 1 (leaf 4) — or a second
         // payload region claims chunk 3 (leaf 6) again.
@@ -791,6 +803,12 @@ mod tests {
             );
             assert_eq!(
                 restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap_err(),
+                overlap
+            );
+            assert_eq!(
+                crate::RecordReader::build(std::slice::from_ref(&d))
+                    .err()
+                    .unwrap(),
                 overlap
             );
         }

@@ -1,4 +1,7 @@
-//! Checkpoint reconstruction from a record of incremental diffs.
+//! Reference reconstruction: sequential replay of a record of incremental
+//! diffs. Production restores go through the single-pass engine
+//! ([`crate::restart`]); this replay is the independent implementation it is
+//! checked against.
 //!
 //! "To restore a checkpoint from the differences, it is enough to start from
 //! the first-time occurrences, then fill the fixed duplicates and finally
@@ -118,125 +121,53 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Incrementally materializes a checkpoint record.
+/// Materialize every version of a record by sequential replay.
 ///
-/// Keeps every restored version in memory because shifted duplicates may
-/// reference any previous checkpoint (the paper keeps the record on storage
-/// tiers; random access there is the runtime crate's concern).
-pub struct Restorer {
-    kind: Option<MethodKind>,
-    data_len: usize,
-    chunk_size: usize,
-    /// First checkpoint id of the record. Non-zero for compacted chains
-    /// whose records below a rebase point were garbage-collected: the first
-    /// diff applied must carry `ckpt_id == base` and be self-contained.
-    base: u32,
-    versions: Vec<Vec<u8>>,
+/// This is the **reference** reconstruction: it implements §2.2 directly
+/// (clone, patch, resolve shifts to a fixpoint) and shares no region-table
+/// decoding with the production single-pass engine
+/// ([`crate::restart`]), which the differential tests and `ckpt verify`
+/// check against it. It keeps every version in memory because shifted
+/// duplicates may reference any previous checkpoint.
+pub fn restore_record(diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
+    restore_record_from(0, diffs)
 }
 
-impl Restorer {
-    pub fn new() -> Self {
-        Self::with_base(0)
-    }
-
-    /// A restorer for a compacted record whose first surviving checkpoint id
-    /// is `base` (a rebase point). Version `k` of the record is checkpoint
-    /// `base + k`; references below `base` are rejected as
-    /// [`RestoreError::RefBelowBase`].
-    pub fn with_base(base: u32) -> Self {
-        Restorer {
-            kind: None,
-            data_len: 0,
-            chunk_size: 0,
-            base,
-            versions: Vec::new(),
-        }
-    }
-
-    /// Number of versions materialized so far.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    /// Materialized bytes of version `k`.
-    pub fn version(&self, k: usize) -> Option<&[u8]> {
-        self.versions.get(k).map(|v| v.as_slice())
-    }
-
-    /// The most recently applied version.
-    pub fn latest(&self) -> Option<&[u8]> {
-        self.versions.last().map(|v| v.as_slice())
-    }
-
-    /// Apply the next diff in sequence, materializing its version.
-    pub fn apply(&mut self, diff: &Diff) -> Result<&[u8], RestoreError> {
-        let index = self.versions.len();
-        if diff.ckpt_id as usize != self.base as usize + index {
+/// Reference replay of a compacted record whose first surviving checkpoint
+/// id is `base` (a rebase point): version `k` of the result is checkpoint
+/// `base + k`, and references below `base` are rejected as
+/// [`RestoreError::RefBelowBase`].
+pub fn restore_record_from(base: u32, diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
+    let mut versions: Vec<Vec<u8>> = Vec::with_capacity(diffs.len());
+    for (index, diff) in diffs.iter().enumerate() {
+        if diff.ckpt_id as usize != base as usize + index {
             return Err(RestoreError::OutOfOrder {
                 index,
                 ckpt_id: diff.ckpt_id,
             });
         }
-        match self.kind {
-            None => {
-                self.kind = Some(diff.kind);
-                self.data_len = diff.data_len as usize;
-                self.chunk_size = diff.chunk_size as usize;
-            }
-            Some(k) => {
-                if k != diff.kind {
-                    return Err(RestoreError::MixedKinds {
-                        expected: k,
-                        found: diff.kind,
-                    });
-                }
-                if self.data_len != diff.data_len as usize
-                    || self.chunk_size != diff.chunk_size as usize
-                {
-                    return Err(RestoreError::GeometryChanged);
-                }
-            }
+        let first = &diffs[0];
+        if first.kind != diff.kind {
+            return Err(RestoreError::MixedKinds {
+                expected: first.kind,
+                found: diff.kind,
+            });
         }
-
-        let prev: Option<&[u8]> = index.checked_sub(1).map(|i| self.versions[i].as_slice());
+        if first.data_len != diff.data_len || first.chunk_size != diff.chunk_size {
+            return Err(RestoreError::GeometryChanged);
+        }
+        let prev = versions.last().map(|v| v.as_slice());
         let buf = match diff.kind {
             MethodKind::Full => restore_full(diff)?,
             MethodKind::Basic => restore_basic(diff, prev)?,
-            MethodKind::List | MethodKind::Tree => {
-                restore_regions(diff, prev, &self.versions, self.base)?
-            }
+            MethodKind::List | MethodKind::Tree => restore_regions(diff, prev, &versions, base)?,
         };
-        self.versions.push(buf);
-        Ok(self.versions.last().unwrap())
+        versions.push(buf);
     }
+    Ok(versions)
 }
 
-impl Default for Restorer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Materialize every version of a record.
-pub fn restore_record(diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
-    restore_record_from(0, diffs)
-}
-
-/// Materialize every version of a compacted record whose first surviving
-/// checkpoint id is `base`.
-pub fn restore_record_from(base: u32, diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
-    let mut r = Restorer::with_base(base);
-    for d in diffs {
-        r.apply(d)?;
-    }
-    Ok(r.versions)
-}
-
-/// Materialize only the final version of a record.
+/// Reference replay of a record, keeping only the final version.
 pub fn restore_latest(diffs: &[Diff]) -> Result<Vec<u8>, RestoreError> {
     let mut versions = restore_record(diffs)?;
     versions.pop().ok_or(RestoreError::UnresolvableShifts {

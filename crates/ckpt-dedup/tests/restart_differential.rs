@@ -3,7 +3,8 @@
 //! several pool widths, the parallel restore must be byte-identical to
 //! the sequential replay — including chains with a mid-stream rebase
 //! record and compacted chains restored from a non-zero base — plus
-//! shift-heavy chains where most of each version is shifted duplicates.
+//! shift-heavy chains where most of each version is shifted duplicates,
+//! which the random-access reader must also read back identically.
 
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::restart::restore_version_single_pass;
@@ -220,6 +221,28 @@ fn shift_heavy_chains_restore_identically() {
                 v, &snaps[k],
                 "case {case}: replay ground truth, version {k}"
             );
+        }
+        // The random-access reader resolves through the same cover tables:
+        // whole versions and seeded byte ranges match the reference too.
+        let reader = RecordReader::build(&diffs).expect("reader index");
+        for (target, expect) in seq.iter().enumerate() {
+            let whole = reader.read_version(target as u32).expect("reader");
+            assert!(
+                &whole == expect,
+                "case {case}: reader version {target} diverged from sequential replay"
+            );
+            for _ in 0..3 {
+                let off = rng.below(len);
+                let n = rng.below(len - off + 1);
+                let mut out = vec![0u8; n];
+                reader
+                    .read_at(target as u32, off, &mut out)
+                    .expect("reader range");
+                assert!(
+                    out[..] == expect[off..off + n],
+                    "case {case}: reader version {target} bytes {off}+{n} diverged"
+                );
+            }
         }
         for threads in [1usize, 2] {
             rayon::set_active_threads(threads);

@@ -23,7 +23,7 @@
 //! * [`rankdedup`] — the cluster-wide content-addressed dedup index:
 //!   hash-space sharding across a group's ranks, asynchronous
 //!   first-occurrence claim exchange, cross-rank reference records;
-//! * [`lineage`] — record collection and sequential restoration;
+//! * [`lineage`] — record collection and the reference sequential replay;
 //! * [`restore`] — the parallel restart engine: prefetched tier reads
 //!   feeding a single-pass resolution walk;
 //! * [`coordinator`] — the multi-rank strong-scaling harness (Fig. 6).
@@ -50,9 +50,7 @@ pub use fault::{
 pub use integrity::{
     IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
-pub use lineage::{
-    collect_record, restore_rank, restore_rank_latest, restore_rank_with_report, LineageError,
-};
+pub use lineage::{collect_record, restore_rank, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
     resolve_record, ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine,

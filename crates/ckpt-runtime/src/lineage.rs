@@ -1,15 +1,17 @@
 //! Lineage access: reconstruct checkpoint contents from the stored record.
 //!
 //! The record of a rank is the ordered sequence of encoded diffs
-//! `(rank, 0), (rank, 1), …` spread across the tier chain. Restoration
-//! decodes them and replays the de-duplication diffs through
-//! [`ckpt_dedup::restore_record`].
+//! `(rank, 0), (rank, 1), …` spread across the tier chain.
+//! [`collect_record`] gathers the newest restorable chain of them. The
+//! restart path resolves only its latest version in a single pass
+//! ([`crate::restore::restore_rank_latest_parallel`]); [`restore_rank`]
+//! materializes every version through the reference sequential replay
+//! ([`ckpt_dedup::restore_record_from`]).
 
-use crate::integrity::RecoveryReport;
 use crate::runtime::TierChain;
 use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::is_self_contained;
-use ckpt_dedup::restore::{RestoreError, Restorer};
+use ckpt_dedup::restore::{restore_record_from, RestoreError};
 use std::collections::BTreeMap;
 
 /// Errors when reading a rank's lineage back.
@@ -69,24 +71,10 @@ impl std::error::Error for LineageError {}
 /// [`LineageError::Hole`] instead of silently restoring stale state.
 pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
     let mut present: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-    // Ids known only to the redundancy group (every local copy wiped by a
-    // rank loss) must be enumerated too: `locate` falls back to a group
-    // rebuild for them.
-    let group_ids = tiers.redundancy_member_ids();
-    for tier_ids in [
-        tiers.pfs.resident(),
-        tiers.pfs.quarantined(),
-        tiers.ssd.resident(),
-        tiers.ssd.quarantined(),
-        tiers.host.resident(),
-        tiers.host.quarantined(),
-        group_ids,
-    ] {
-        for (r, k) in tier_ids {
-            if r == rank && !present.contains_key(&k) {
-                if let Some(bytes) = tiers.locate((rank, k)) {
-                    present.insert(k, bytes);
-                }
+    for (r, k) in tiers.listed_ids() {
+        if r == rank && !present.contains_key(&k) {
+            if let Some(bytes) = tiers.locate((rank, k)) {
+                present.insert(k, bytes);
             }
         }
     }
@@ -120,54 +108,18 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
     Ok((base, chain))
 }
 
-/// Replay a base-offset sequence of encoded diffs into materialized
-/// versions (version `i` of the result is checkpoint `base + i`).
-fn replay(base: u32, encoded: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, LineageError> {
-    if encoded.is_empty() {
-        return Err(LineageError::Empty);
-    }
-    let mut restorer = Restorer::with_base(base);
-    for (i, bytes) in encoded.iter().enumerate() {
-        let diff = Diff::decode(bytes).map_err(|e| LineageError::Decode(base + i as u32, e))?;
-        restorer.apply(&diff).map_err(LineageError::Restore)?;
-    }
-    Ok((0..restorer.len())
-        .map(|k| restorer.version(k).unwrap().to_vec())
-        .collect())
-}
-
-/// The restart path with full accounting: run chain-level recovery (which
-/// verifies, repairs, and quarantines — see [`TierChain::recover_report`]),
-/// then materialize `rank`'s usable chain. The report covers *all* ranks
-/// so callers can log cluster-wide damage while restoring one rank.
-pub fn restore_rank_with_report(
-    tiers: &TierChain,
-    rank: u32,
-) -> Result<(u32, Vec<Vec<u8>>, RecoveryReport), LineageError> {
-    let report = tiers.recover_report();
-    let (base, encoded) = report
-        .ranks
-        .iter()
-        .find(|r| r.rank == rank)
-        .map(|r| (r.base, r.payloads.clone()))
-        .unwrap_or((0, Vec::new()));
-    let versions = replay(base, &encoded)?;
-    Ok((base, versions, report))
-}
-
-/// Materialize every surviving version of `rank`'s record. Returns the
-/// base checkpoint id (0 unless the chain was compacted) and the versions
-/// `base, base+1, …` in order.
+/// Materialize every surviving version of `rank`'s record through the
+/// reference sequential replay. Returns the base checkpoint id (0 unless
+/// the chain was compacted) and the versions `base, base+1, …` in order.
 pub fn restore_rank(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
     let (base, encoded) = collect_record(tiers, rank)?;
-    Ok((base, replay(base, &encoded)?))
-}
-
-/// Materialize only the latest version of `rank`'s record (the restart path).
-pub fn restore_rank_latest(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<u8>), LineageError> {
-    let (base, versions) = restore_rank(tiers, rank)?;
-    let last = base + versions.len() as u32 - 1;
-    Ok((last, versions.into_iter().next_back().unwrap()))
+    let diffs = encoded
+        .iter()
+        .zip(base..)
+        .map(|(bytes, k)| Diff::decode(bytes).map_err(|e| LineageError::Decode(k, e)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let versions = restore_record_from(base, &diffs).map_err(LineageError::Restore)?;
+    Ok((base, versions))
 }
 
 #[cfg(test)]
@@ -180,7 +132,7 @@ mod tests {
     fn full_round_trip_through_the_runtime() {
         let rt = AsyncRuntime::new();
         let dev = gpu_sim::Device::a100();
-        let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
+        let mut ckpt = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64));
 
         let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
         let mut snapshots = Vec::new();
@@ -205,9 +157,9 @@ mod tests {
         for (v, s) in versions.iter().zip(&snapshots) {
             assert_eq!(v, s);
         }
-        let (last, latest) = restore_rank_latest(rt.tiers(), 0).unwrap();
-        assert_eq!(last, 3);
-        assert_eq!(&latest, snapshots.last().unwrap());
+        let latest = rt.restore_latest_parallel(&dev, 0).unwrap();
+        assert_eq!(latest.version, 3);
+        assert_eq!(&latest.data, snapshots.last().unwrap());
         rt.shutdown();
     }
 
@@ -227,7 +179,8 @@ mod tests {
             rt.submit(0, k, out.diff.encode()).unwrap();
         }
         rt.wait_durable(&[(0, 0), (0, 1), (0, 2)]);
-        let (base, versions, report) = restore_rank_with_report(rt.tiers(), 0).unwrap();
+        let report = rt.recover_report();
+        let (base, versions) = restore_rank(rt.tiers(), 0).unwrap();
         assert_eq!(base, 0);
         assert_eq!(versions, snapshots);
         assert_eq!(report.total_verified(), 3);
@@ -305,7 +258,7 @@ mod tests {
         // GC below a rebase record: ids 0–1 evicted, 2 is self-contained.
         let tiers = crate::runtime::TierChain::new();
         let dev = gpu_sim::Device::a100();
-        let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
+        let mut ckpt = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64));
         let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 233) as u8).collect();
         let mut snapshots = Vec::new();
         for k in 0..4u32 {
@@ -324,9 +277,9 @@ mod tests {
         assert!(tiers.pfs.evict((0, 1)));
         let (base, chain) = collect_record(&tiers, 0).unwrap();
         assert_eq!((base, chain.len()), (2, 2));
-        let (last, latest) = restore_rank_latest(&tiers, 0).unwrap();
-        assert_eq!(last, 3);
-        assert_eq!(&latest, &snapshots[3]);
+        let latest = crate::restore::restore_rank_latest_parallel(&tiers, &dev, 0, None).unwrap();
+        assert_eq!(latest.version, 3);
+        assert_eq!(&latest.data, &snapshots[3]);
     }
 
     #[test]
@@ -335,6 +288,37 @@ mod tests {
         rt.tiers().pfs.put((1, 0), vec![0xde, 0xad]).unwrap();
         match restore_rank(rt.tiers(), 1) {
             Err(LineageError::Decode(0, _)) => {}
+            other => panic!("expected decode error, got {other:?}"),
+        }
+
+        // A region naming a node outside the tree is a decode error for
+        // both restore paths, never an index panic.
+        let diff = Diff {
+            kind: MethodKind::Tree,
+            ckpt_id: 0,
+            data_len: 128,
+            chunk_size: 32,
+            first_regions: vec![0],
+            shift_regions: vec![ckpt_dedup::ShiftRegion {
+                node: 5000,
+                ref_node: 5000,
+                ref_ckpt: 0,
+            }],
+            bitmap: Vec::new(),
+            payload_codec: 0,
+            payload: vec![7; 128],
+        };
+        rt.tiers().pfs.put((2, 0), diff.encode()).unwrap();
+        let out_of_range = DecodeError::NodeOutOfRange {
+            node: 5000,
+            n_nodes: 7,
+        };
+        match restore_rank(rt.tiers(), 2) {
+            Err(LineageError::Decode(0, e)) => assert_eq!(e, out_of_range),
+            other => panic!("expected decode error, got {other:?}"),
+        }
+        match rt.restore_latest_parallel(&gpu_sim::Device::a100(), 2) {
+            Err(LineageError::Decode(0, e)) => assert_eq!(e, out_of_range),
             other => panic!("expected decode error, got {other:?}"),
         }
     }

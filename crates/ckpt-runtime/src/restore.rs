@@ -53,21 +53,11 @@ pub fn restore_rank_latest_parallel(
     // Newest surviving id: probe candidates from the tier listings top
     // down; `locate` skips (and quarantines) copies that fail
     // verification, so the first hit is the newest restorable target.
-    let mut candidates: Vec<u32> = Vec::new();
-    for tier in [&tiers.pfs, &tiers.ssd, &tiers.host] {
-        for (r, k) in tier.resident().into_iter().chain(tier.quarantined()) {
-            if r == rank {
-                candidates.push(k);
-            }
-        }
-    }
-    // A fully-lost rank has no local listings at all; its redundancy
-    // group still names the ids, and `locate` rebuilds them on demand.
-    for (r, k) in tiers.redundancy_member_ids() {
-        if r == rank {
-            candidates.push(k);
-        }
-    }
+    let mut candidates: Vec<u32> = tiers
+        .listed_ids()
+        .into_iter()
+        .filter_map(|(r, k)| (r == rank).then_some(k))
+        .collect();
     candidates.sort_unstable();
     candidates.dedup();
     let mut target: Option<(u32, Vec<u8>)> = None;
@@ -162,7 +152,7 @@ impl AsyncRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage::{restore_rank_latest, LineageError};
+    use crate::lineage::{restore_rank, LineageError};
     use ckpt_dedup::prelude::*;
 
     fn run_chain(rebase_at: Option<u32>) -> (crate::runtime::TierChain, Vec<Vec<u8>>) {
@@ -197,8 +187,12 @@ mod tests {
         let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
         assert_eq!(out.version, 5);
         assert_eq!(&out.data, snapshots.last().unwrap());
-        let (seq_last, seq) = restore_rank_latest(&tiers, 0).unwrap();
-        assert_eq!((out.version, &out.data), (seq_last, &seq));
+        let (base, versions) = restore_rank(&tiers, 0).unwrap();
+        let seq_last = base + versions.len() as u32 - 1;
+        assert_eq!(
+            (out.version, &out.data),
+            (seq_last, versions.last().unwrap())
+        );
         let json = registry.snapshot_json();
         for key in ["restore/chains_restored", "restore/records_read"] {
             assert!(json.contains(key), "missing {key} in {json}");

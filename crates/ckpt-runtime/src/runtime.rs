@@ -141,14 +141,22 @@ impl TierChain {
         self.rank_dedup.as_ref()
     }
 
-    /// Member ids the redundancy group knows about (empty without one) —
-    /// recovery enumerates these so an object whose every local copy was
-    /// wiped is still *seen*.
-    pub fn redundancy_member_ids(&self) -> Vec<ObjectId> {
-        self.redundancy
-            .as_ref()
-            .map(|r| r.member_ids())
-            .unwrap_or_default()
+    /// Every id the chain knows of, for any rank: resident or quarantined
+    /// on the PFS, SSD and host tiers (in that order), then the redundancy
+    /// group's members. Objects whose every local copy a rank loss wiped
+    /// are invisible to the tier scan; the group's member table still names
+    /// them, so recovery classifies them (restored or typed lost — never
+    /// silently absent). Ids may repeat.
+    pub(crate) fn listed_ids(&self) -> Vec<ObjectId> {
+        let mut ids = Vec::new();
+        for tier in [&self.pfs, &self.ssd, &self.host] {
+            ids.extend(tier.resident());
+            ids.extend(tier.quarantined());
+        }
+        if let Some(red) = &self.redundancy {
+            ids.extend(red.member_ids());
+        }
+        ids
     }
 
     /// Hand one post-compression object to the redundancy level (no-op
@@ -436,17 +444,7 @@ impl TierChain {
     /// extracted. See [`RecoveryReport`].
     pub fn recover_report(&self) -> RecoveryReport {
         self.poll_rank_loss();
-        let mut ids: Vec<ObjectId> = Vec::new();
-        for tier in [&self.pfs, &self.ssd, &self.host] {
-            ids.extend(tier.resident());
-            ids.extend(tier.quarantined());
-        }
-        // Objects whose every local copy a rank loss wiped are invisible
-        // to the tier scan; the group's member table still names them, so
-        // cluster-scope recovery classifies them too (restored or typed
-        // lost — never silently absent).
-        ids.extend(self.redundancy_member_ids());
-        let by_rank = group_by_rank(ids);
+        let by_rank = group_by_rank(self.listed_ids());
         let mut ranks: Vec<RankRecovery> = by_rank
             .into_iter()
             .map(|(rank, ckpts)| {

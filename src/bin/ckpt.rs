@@ -6,7 +6,7 @@
 //!              [--payload-compress zstd|lz4|...] [--stats] <snapshot files...>
 //! ckpt info    <dir>
 //! ckpt stats   <dir>
-//! ckpt restore <dir> --version K --out <file> [--parallel] [--stats]
+//! ckpt restore <dir> --version K --out <file> [--stats]
 //! ckpt verify  <dir> <original snapshot files...>
 //! ```
 //!
@@ -32,10 +32,11 @@
 //! detects the base automatically and requires the head record to be
 //! self-contained. `--version` always takes absolute checkpoint ids.
 //!
-//! `ckpt restore --parallel` uses the single-pass restart engine: one
-//! newest-to-oldest walk resolves every chunk's provenance, then each
-//! resolved region is copied exactly once — bit-identical to sequential
-//! replay at any thread count.
+//! `ckpt restore` uses the single-pass restart engine: one newest-to-oldest
+//! walk resolves every chunk's provenance, then each resolved chunk is
+//! copied exactly once — bit-identical to the sequential reference replay
+//! (which `ckpt verify` runs) at any thread count. `--parallel` is still
+//! accepted and changes nothing.
 //!
 //! `ckpt verify <dir>` with no originals runs in *integrity mode*: every
 //! frame is checksum-verified and the whole restore chain replayed, without
@@ -73,7 +74,7 @@ fn usage() -> ExitCode {
          [--redundancy off|partner|xor:<k>] [--ranks R] [--rank-dedup] \
          [--verify-collisions] [--stats] <snapshots...>\n  \
          ckpt info    <dir>\n  ckpt stats   <dir>\n  \
-         ckpt restore <dir> --version K --out <file> [--parallel] [--stats]\n  \
+         ckpt restore <dir> --version K --out <file> [--stats]\n  \
          ckpt verify  <dir> [--json] [<snapshots...>]   (no snapshots: integrity-only mode)\n\n\
          --redundancy splits the snapshots across R ranks (default: the group \
          size), writes rank####/ record subdirs plus a group/ directory of \
@@ -1312,7 +1313,6 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     let mut dir: Option<PathBuf> = None;
     let mut version: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
-    let mut parallel = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -1324,10 +1324,8 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
                 out = Some(PathBuf::from(args.get(i + 1).ok_or("--out needs a value")?));
                 i += 2;
             }
-            "--parallel" => {
-                parallel = true;
-                i += 1;
-            }
+            // Accepted for older scripts; there is one restore engine.
+            "--parallel" => i += 1,
             other => {
                 dir = Some(PathBuf::from(other));
                 i += 1;
@@ -1345,38 +1343,25 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     let index = version - base;
     let registry = Registry::new();
     let mut span = stats.then(|| registry.span("cli/restore"));
-    let bytes = if parallel {
-        // Single-pass parallel restart: walk the chain newest -> oldest,
-        // resolve every chunk's provenance, then copy each resolved
-        // region exactly once — no intermediate version materialized.
-        let device = Device::a100();
-        let (bytes, rstats) = restore_version_single_pass(&device, base as u32, &diffs, index)?;
-        if stats {
-            registry.counter("restore/chains_restored").inc();
-            registry
-                .counter("restore/records_read")
-                .add(rstats.records_visited as u64);
-            registry
-                .counter("restore/regions_copied")
-                .add(rstats.regions_copied);
-            registry
-                .counter("restore/bytes_copied")
-                .add(rstats.bytes_copied);
-            registry
-                .counter("restore/zero_chunks")
-                .add(rstats.zero_chunks);
-        }
-        bytes
-    } else if base == 0 {
-        // Random-access reader: restores without materializing every
-        // version (requires an uncompacted record, ids from 0).
-        let reader = RecordReader::build(&diffs)?;
-        reader.read_version(version as u32)?
-    } else {
-        // Compacted record: sequential replay from the rebase base.
-        let mut versions = restore_record_from(base as u32, &diffs)?;
-        versions.swap_remove(index)
-    };
+    // Single-pass restart: walk the chain newest -> oldest, resolve every
+    // chunk's provenance, then copy each resolved chunk exactly once — no
+    // intermediate version is materialized.
+    let (bytes, rstats) = restore_version_single_pass(&Device::a100(), base as u32, &diffs, index)?;
+    if stats {
+        registry.counter("restore/chains_restored").inc();
+        registry
+            .counter("restore/records_read")
+            .add(rstats.records_visited as u64);
+        registry
+            .counter("restore/regions_copied")
+            .add(rstats.regions_copied);
+        registry
+            .counter("restore/bytes_copied")
+            .add(rstats.bytes_copied);
+        registry
+            .counter("restore/zero_chunks")
+            .add(rstats.zero_chunks);
+    }
     drop(span.take());
     std::fs::write(&out, &bytes)?;
     println!(

@@ -8,7 +8,7 @@ use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::graph::{gorder, PaperGraph};
 use gpu_dedup_ckpt::oranges::OrangesRun;
-use gpu_dedup_ckpt::runtime::{restore_rank, restore_rank_latest, AsyncRuntime};
+use gpu_dedup_ckpt::runtime::{restore_rank, AsyncRuntime};
 
 /// GDV snapshots of a small ORANGES run (shared fixture).
 fn snapshots(graph: PaperGraph, n: usize, ckpts: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -64,9 +64,10 @@ fn crash_recovery_resumes_to_identical_result() {
     runtime.kill();
 
     // Recovery: restore the durable prefix and resume.
-    let (last, gdv) = restore_rank_latest(runtime.tiers(), 7).unwrap();
-    assert_eq!(last, 2);
-    let mut resumed = OrangesRun::resume(&g, &gdv, progress[last as usize]).unwrap();
+    let restored = runtime.restore_latest_parallel(&Device::a100(), 7).unwrap();
+    assert_eq!(restored.version, 2);
+    let resume_root = progress[restored.version as usize];
+    let mut resumed = OrangesRun::resume(&g, &restored.data, resume_root).unwrap();
     resumed.run_to_completion();
     assert_eq!(resumed.gdv(), reference.gdv());
 }
