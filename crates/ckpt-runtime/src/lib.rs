@@ -53,8 +53,8 @@ pub use integrity::{
 pub use lineage::{collect_record, restore_rank, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
-    resolve_record, ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine,
-    RankDedupError, RankDedupIndex, RankDedupMetrics,
+    ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine, RankDedupError,
+    RankDedupIndex, RankDedupMetrics,
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};

@@ -53,7 +53,7 @@
 //!
 //! # Resolution
 //!
-//! [`resolve_record`] reassembles the original payload, fetching
+//! `resolve_record` reassembles the original payload, fetching
 //! referenced records through a caller-supplied closure (the tier chain's
 //! read path, including group-tier reconstruction — so a remote chunk on a
 //! lost rank rebuilds from its parity group before restore proceeds). The
@@ -798,12 +798,11 @@ impl RankDedupEngine {
 
 /// Resolve a rank-dedup record back to its original payload. `fetch`
 /// returns the *stored payload bytes* of a referenced object (themselves a
-/// serialized record), through whatever read path the caller has — the
-/// tier chain's `locate` (including group-tier reconstruction for lost
-/// ranks) at runtime, raw files in the CLI. Depth-1: referenced entries
+/// serialized record) through the tier chain's read path, including
+/// group-tier reconstruction for lost ranks. Depth-1: referenced entries
 /// must be local in their record. The reassembly is verified against the
 /// recorded original length and checksum before it is returned.
-pub fn resolve_record(
+pub(crate) fn resolve_record(
     id: ObjectId,
     bytes: &[u8],
     fetch: &dyn Fn(ObjectId) -> Option<Vec<u8>>,

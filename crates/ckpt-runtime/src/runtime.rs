@@ -357,22 +357,6 @@ impl TierChain {
         }
     }
 
-    /// Classify one object for recovery; returns its status and, when
-    /// durable, the verified (decoded) payload.
-    fn recover_object(&self, id: ObjectId) -> (ObjectStatus, Option<Vec<u8>>) {
-        let (status, payload) = self.recover_object_stored(id);
-        match payload {
-            Some(p) => match self.resolve_if_rank_dedup(id, p) {
-                Some(resolved) => (status, Some(resolved)),
-                // The record itself is durable but a cross-rank reference
-                // dangles (referenced rank lost beyond its group's reach):
-                // typed loss, never a wrong payload.
-                None => (ObjectStatus::LostCorrupt, None),
-            },
-            None => (status, None),
-        }
-    }
-
     /// Tier/group classification of one object, pre-resolution.
     fn recover_object_stored(&self, id: ObjectId) -> (ObjectStatus, Option<Vec<u8>>) {
         match Self::inspect_object_retry(&self.pfs, id) {
@@ -442,19 +426,42 @@ impl TierChain {
     /// tier (including quarantined ones) is classified as verified,
     /// repaired, or lost, and each rank's contiguous durable prefix is
     /// extracted. See [`RecoveryReport`].
+    ///
+    /// Every object's own copies are classified before any rank-dedup
+    /// reference is resolved: resolving one record may rebuild its target
+    /// from the group (re-storing it on the PFS), and that must not make a
+    /// target classified later read as `Verified`.
     pub fn recover_report(&self) -> RecoveryReport {
         self.poll_rank_loss();
-        let by_rank = group_by_rank(self.listed_ids());
-        let mut ranks: Vec<RankRecovery> = by_rank
+        let classified: Vec<(u32, Vec<_>)> = group_by_rank(self.listed_ids())
             .into_iter()
             .map(|(rank, ckpts)| {
-                let mut objects = Vec::with_capacity(ckpts.len());
+                let objects = ckpts
+                    .into_iter()
+                    .map(|c| (c, self.recover_object_stored((rank, c))))
+                    .collect();
+                (rank, objects)
+            })
+            .collect();
+        let mut ranks: Vec<RankRecovery> = classified
+            .into_iter()
+            .map(|(rank, stored)| {
+                let mut objects = Vec::with_capacity(stored.len());
                 let mut durable: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-                for ckpt_id in ckpts {
-                    let (status, payload) = self.recover_object((rank, ckpt_id));
-                    if status.is_durable() {
-                        durable.insert(ckpt_id, payload.expect("durable object carries payload"));
-                    }
+                for (ckpt_id, (status, payload)) in stored {
+                    // A durable record whose cross-rank reference dangles
+                    // (its target lost beyond its group's reach) is a typed
+                    // loss, never a wrong payload.
+                    let resolved =
+                        payload.and_then(|p| self.resolve_if_rank_dedup((rank, ckpt_id), p));
+                    let status = match resolved {
+                        Some(p) => {
+                            durable.insert(ckpt_id, p);
+                            status
+                        }
+                        None if status.is_durable() => ObjectStatus::LostCorrupt,
+                        None => status,
+                    };
                     objects.push(RecoveredObject { ckpt_id, status });
                 }
                 let (base, payloads) = usable_chain(&mut durable);
@@ -1645,6 +1652,37 @@ mod tests {
         let report = tiers.recover_report();
         assert_eq!(report.total(ObjectStatus::LostCorrupt), 1);
         assert_eq!(tiers.pfs.quarantined(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn recovery_status_does_not_depend_on_resolution_order() {
+        // Rank 0's record references chunks rank 1 claimed, and rank 1's
+        // only copy is its partner copy in the group. Resolving rank 0
+        // first rebuilds (1, 0) onto the PFS; rank 1 must still classify
+        // as restored from the group. Rank order varies per chain (hash
+        // map iteration), so build several.
+        use crate::rankdedup::{RankDedupConfig, RankDedupMetrics};
+        let shared: Vec<u8> = (0..1024u32).map(|i| (i * 7 % 251) as u8).collect();
+        for _ in 0..16 {
+            let cfg = RankDedupConfig {
+                ranks: 2,
+                chunk_len: 64,
+            };
+            let engine = RankDedupEngine::new(cfg, RankDedupMetrics::detached());
+            let owner = StoredObject::raw(engine.encode((1, 0), shared.clone()));
+            let referrer = StoredObject::raw(engine.encode((0, 0), shared.clone()));
+            let store =
+                RedundancyStore::new(RedundancyPolicy::Partner, RedundancyMetrics::detached());
+            store.encode_member((1, 0), &owner);
+            let mut chain = TierChain::new();
+            chain.attach_redundancy(Arc::new(store));
+            chain.pfs.store_object((0, 0), referrer).unwrap();
+            let report = chain.recover_report();
+            let status = |rank: usize| report.ranks[rank].objects[0].status;
+            assert_eq!(status(0), ObjectStatus::Verified);
+            assert_eq!(status(1), ObjectStatus::RestoredFromGroup);
+            assert_eq!(report.ranks[0].payloads, vec![shared.clone()]);
+        }
     }
 
     #[test]

@@ -187,7 +187,9 @@ impl StoredObject {
         }
     }
 
-    fn frame(&self, id: ObjectId) -> Vec<u8> {
+    /// Wrap this object in its integrity frame under `id`: the on-tier
+    /// (and on-disk) byte form.
+    pub fn frame(&self, id: ObjectId) -> Vec<u8> {
         if self.codec == 0 {
             frame::encode_frame(id.0, id.1, &self.payload)
         } else {
@@ -199,6 +201,18 @@ impl StoredObject {
                 &self.payload,
             )
         }
+    }
+
+    /// Verify a framed object (checksum over the stored bytes, and that it
+    /// belongs to slot `id`) and take it back in its stored form — the
+    /// inverse of [`frame`](Self::frame).
+    pub fn from_frame(bytes: &[u8], id: ObjectId) -> Result<Self, frame::FrameError> {
+        let (header, stored) = frame::decode_frame_expecting(bytes, Some(id))?;
+        Ok(StoredObject {
+            codec: header.codec,
+            uncompressed_len: header.uncompressed_len,
+            payload: stored.to_vec(),
+        })
     }
 }
 
@@ -423,6 +437,24 @@ impl Tier {
         if charged < len {
             self.used.fetch_sub(len - charged, Ordering::Relaxed);
         }
+        self.install(id, framed, charged);
+        Ok(())
+    }
+
+    /// Insert already-framed bytes under `id` exactly as given — a corrupt
+    /// frame stays corrupt, for reads to classify. Accounting is charged as
+    /// for a write, but the fault hook is not consulted: this loads objects
+    /// persisted elsewhere (e.g. a record directory), it is not a device
+    /// write.
+    pub fn insert_framed(&self, id: ObjectId, framed: Vec<u8>) {
+        let charged = Self::charged_bytes(&framed);
+        self.used.fetch_add(charged, Ordering::Relaxed);
+        self.install(id, framed, charged);
+    }
+
+    /// Account `charged` written bytes (already reserved in `used`) and
+    /// atomically install the framed object, releasing any replaced one.
+    fn install(&self, id: ObjectId, framed: Vec<u8>, charged: u64) {
         self.bytes_written.fetch_add(charged, Ordering::Relaxed);
         let femtos = (charged as f64 / self.cfg.bandwidth_bps * 1e15) as u64;
         self.busy_femtos.fetch_add(femtos, Ordering::Relaxed);
@@ -431,7 +463,6 @@ impl Tier {
             self.used
                 .fetch_sub(Self::charged_bytes(&old), Ordering::Relaxed);
         }
-        Ok(())
     }
 
     /// Fetch a verified copy of an object's payload, transparently
@@ -485,12 +516,8 @@ impl Tier {
             Some(bytes) => bytes.clone(),
             None => return ObjectState::Missing,
         };
-        match frame::decode_frame_expecting(&framed, Some(id)) {
-            Ok((header, stored)) => ObjectState::Valid(StoredObject {
-                codec: header.codec,
-                uncompressed_len: header.uncompressed_len,
-                payload: stored.to_vec(),
-            }),
+        match StoredObject::from_frame(&framed, id) {
+            Ok(obj) => ObjectState::Valid(obj),
             Err(e) => ObjectState::Corrupt(e),
         }
     }
@@ -717,6 +744,30 @@ mod tests {
         assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
         assert_eq!(t.inspect((0, 0)), FrameState::TransientIo);
         assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
+    }
+
+    #[test]
+    fn insert_framed_keeps_bytes_verbatim_without_the_fault_hook() {
+        let plan = FaultPlanBuilder::new()
+            .on_put("host", 0, FaultKind::TransientIo)
+            .build();
+        let t = Tier::with_faults(TierConfig::host(), Arc::clone(&plan));
+        let obj = StoredObject::raw(vec![3; 40]);
+        assert_eq!(
+            StoredObject::from_frame(&obj.frame((0, 0)), (0, 0)),
+            Ok(obj.clone())
+        );
+        let mut corrupt = obj.frame((0, 1));
+        corrupt[frame::FRAME_HEADER_LEN] ^= 1;
+        t.insert_framed((0, 0), obj.frame((0, 0)));
+        t.insert_framed((0, 1), corrupt);
+        assert!(plan.fired().is_empty());
+        assert_eq!(t.used_bytes(), 80);
+        assert_eq!(t.inspect_object((0, 0)), ObjectState::Valid(obj));
+        // A corrupt frame stays corrupt, for the read path to classify.
+        assert!(matches!(t.inspect_object((0, 1)), ObjectState::Corrupt(_)));
+        // A frame read back under the wrong slot fails verification.
+        assert!(StoredObject::from_frame(&t.raw((0, 0)).unwrap(), (0, 1)).is_err());
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! snapshots must have equal length (the engine checkpoints a fixed-size
 //! buffer, like the paper's GDV array).
 //!
+//! Every read command opens the directory as a runtime
+//! [`TierChain`](ckpt_runtime::TierChain) (see [`open_record`]): the files
+//! sit verbatim on its PFS tier and a cluster's `group/` objects on an
+//! attached redundancy group, so frame verification, group repair,
+//! cross-rank reference resolution and loss typing are the runtime's own.
+//!
 //! `--compress` applies the runtime's frame-level compression stage to each
 //! record file: the encoded diff goes through the
 //! [`CompressionPolicy`](ckpt_runtime::CompressionPolicy) (`adaptive`
@@ -39,8 +45,8 @@
 //! accepted and changes nothing.
 //!
 //! `ckpt verify <dir>` with no originals runs in *integrity mode*: every
-//! frame is checksum-verified and the whole restore chain replayed, without
-//! needing the original snapshots.
+//! object is classified by the chain's recovery report and the whole
+//! restore chain replayed, without needing the original snapshots.
 //!
 //! `--stats` (on `create` and `restore`) and the `stats` subcommand emit a
 //! one-line JSON telemetry report on stdout, prefixed with `stats: `. The
@@ -50,17 +56,15 @@
 
 use gpu_dedup_ckpt::compress::codec_by_id;
 use gpu_dedup_ckpt::dedup::prelude::*;
-use gpu_dedup_ckpt::dedup::{
-    decode_frame_expecting, decode_payload, encode_frame, encode_frame_compressed, looks_framed,
-    looks_rankdedup, Diff, RankDedupRecord,
-};
+use gpu_dedup_ckpt::dedup::{encode_frame, looks_framed, Diff, FrameError, RankDedupRecord};
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::{
-    resolve_record, CompressMetrics, CompressionEngine, CompressionPolicy, RankDedupConfig,
-    RankDedupEngine, RankDedupMetrics, RedundancyMetrics, RedundancyPolicy, RedundancyStore,
-    StoredObject,
+    CompressMetrics, CompressionEngine, CompressionPolicy, ObjectState, ObjectStatus,
+    RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyMetrics, RedundancyPolicy,
+    RedundancyStore, Tier, TierChain,
 };
 use gpu_dedup_ckpt::telemetry::{JsonWriter, Registry, StageBreakdown};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -101,6 +105,15 @@ fn codec_name(codec: u8) -> String {
     }
 }
 
+/// The `  [frame <codec>]` marker of a compressed frame (empty for raw).
+fn frame_marker(codec: u8) -> String {
+    if codec != 0 {
+        format!("  [frame {}]", codec_name(codec))
+    } else {
+        String::new()
+    }
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--stats` is a global flag: strip it wherever it appears.
@@ -130,7 +143,8 @@ fn main() -> ExitCode {
     }
 }
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+type CliError = Box<dyn std::error::Error>;
+type CliResult = Result<(), CliError>;
 
 /// Missing or malformed command-line operands.
 const EXIT_USAGE: u8 = 2;
@@ -156,7 +170,7 @@ impl std::fmt::Display for CliExit {
 
 impl std::error::Error for CliExit {}
 
-fn exit_with(code: u8, msg: impl Into<String>) -> Box<dyn std::error::Error> {
+fn exit_with(code: u8, msg: impl Into<String>) -> CliError {
     Box::new(CliExit {
         code,
         msg: msg.into(),
@@ -167,59 +181,16 @@ fn diff_path(dir: &Path, version: usize) -> PathBuf {
     dir.join(format!("{version:04}.ckpt"))
 }
 
-/// Unwrap a checkpoint file's integrity frame — verifying the checksum
-/// (over the *stored* bytes, compressed or not) and transparently
-/// decompressing compressed frames — falling back to the raw bytes for
-/// legacy unframed records. Returns the frame codec id (0 for uncompressed
-/// or legacy) and the decoded diff payload. Flat CLI records use rank 0
-/// and the version number as checkpoint id; clustered records carry their
-/// real rank in the frame.
-fn unframe_as(
-    bytes: &[u8],
-    rank: u32,
-    version: usize,
-    path: &Path,
-) -> Result<(u8, Vec<u8>), String> {
-    if looks_framed(bytes) {
-        decode_payload(bytes, Some((rank, version as u32)))
-            .map(|(header, payload)| (header.codec, payload))
-            .map_err(|e| format!("{}: corrupt frame: {e}", path.display()))
-    } else {
-        Ok((0, bytes.to_vec()))
-    }
+/// Per-rank record subdirectory of a clustered record root.
+fn rank_dir(root: &Path, rank: u32) -> PathBuf {
+    root.join(format!("rank{rank:04}"))
 }
 
-/// The lowest `NNNN.ckpt` version present in a record directory: 0 for a
-/// full record, the rebase point for a chain whose prefix was compacted
-/// away by GC.
-fn record_base(dir: &Path) -> Result<usize, Box<dyn std::error::Error>> {
-    let mut base: Option<usize> = None;
-    let entries =
-        std::fs::read_dir(dir).map_err(|_| format!("no checkpoints found in {}", dir.display()))?;
-    for entry in entries {
-        let name = entry?.file_name();
-        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".ckpt")) else {
-            continue;
-        };
-        if let Ok(v) = stem.parse::<usize>() {
-            base = Some(base.map_or(v, |b: usize| b.min(v)));
-        }
-    }
-    base.ok_or_else(|| format!("no checkpoints found in {}", dir.display()).into())
-}
-
-/// Load the record's diffs in version order, verifying integrity frames
-/// and transparently decompressing compressed frames. Returns
-/// `(base, diffs, frame_codecs)` where `base` is the first surviving
-/// version (a compacted record starts at its rebase point, whose head
-/// record must be self-contained) and `frame_codecs[k]` is the frame-level
-/// codec id version `base + k` was stored with (0 = uncompressed).
-type LoadedRecord = (usize, Vec<Diff>, Vec<u8>);
-
-fn load_record(dir: &Path) -> Result<LoadedRecord, Box<dyn std::error::Error>> {
-    // A cluster rank subdir's frames carry their real rank id; flat
-    // records use rank 0.
-    load_record_as(dir, dir_rank(dir).unwrap_or(0))
+/// On-disk name of one exported group object (partner copy or parity
+/// stripe), keyed by `(hosting_rank, ckpt_id)`.
+fn group_object_path(root: &Path, key: ObjectId) -> PathBuf {
+    root.join("group")
+        .join(format!("h{:04}_c{:04}.grp", key.0, key.1))
 }
 
 /// The rank number of a `rank####/` record subdirectory, if `dir` is one.
@@ -230,53 +201,310 @@ fn dir_rank(dir: &Path) -> Option<u32> {
         .flatten()
 }
 
-fn load_record_as(dir: &Path, rank: u32) -> Result<LoadedRecord, Box<dyn std::error::Error>> {
-    let base = record_base(dir)?;
-    let mut diffs = Vec::new();
-    let mut codecs = Vec::new();
-    // Lazily opened on the first rank-dedup record: resolving cross-rank
-    // references needs the cluster root and its redundancy group.
-    let mut cluster: Option<Option<ClusterContext>> = None;
-    for version in base.. {
-        let path = diff_path(dir, version);
-        if !path.exists() {
-            break;
-        }
-        let bytes = std::fs::read(&path)?;
-        let (codec, payload) = unframe_as(&bytes, rank, version, &path)?;
-        let payload = if looks_rankdedup(&payload) {
-            let ctx = cluster
-                .get_or_insert_with(|| ClusterContext::open(dir).ok().flatten())
-                .as_ref()
-                .ok_or_else(|| {
-                    format!(
-                        "{}: rank-dedup record outside a cluster root",
-                        path.display()
-                    )
-                })?;
-            ctx.resolve((rank, version as u32), &payload).map_err(|e| {
-                exit_with(
-                    EXIT_LOST,
-                    format!(
-                        "{}: LOST  rank-dedup resolution failed: {e}",
-                        path.display()
-                    ),
-                )
-            })?
-        } else {
-            payload
-        };
-        codecs.push(codec);
-        diffs.push(Diff::decode(&payload).map_err(|e| format!("{}: {e}", path.display()))?);
+/// Whether a record root uses the clustered multi-rank layout. Any
+/// surviving `rank####/` subdirectory counts — a cluster that lost rank 0
+/// *and* its group tier must still verify as a cluster, with the absent
+/// members typed, not fall back to the flat-record path.
+fn is_cluster_dir(dir: &Path) -> bool {
+    if dir.join("group").join("MANIFEST").exists() {
+        return true;
     }
-    if base > 0 && !is_self_contained(&diffs[0]) {
-        return Err(format!(
-            "record is compacted at v{base:04} but that record is not self-contained \
-             (not a rebase point); the chain cannot replay"
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return false;
+    };
+    entries
+        .flatten()
+        .any(|e| e.path().is_dir() && dir_rank(&e.path()).is_some())
+}
+
+/// The `(base, diffs, frame_codecs)` of one rank's record in version
+/// order: `base` is the first version (a compacted record starts at its
+/// rebase point, whose head record must be self-contained) and
+/// `frame_codecs[k]` is the frame-level codec id version `base + k` was
+/// stored with (0 = uncompressed).
+type LoadedRecord = (usize, Vec<Diff>, Vec<u8>);
+
+/// A record directory opened as a runtime [`TierChain`]. Every `NNNN.ckpt`
+/// sits verbatim on the PFS tier under its `(rank, version)` id — a
+/// corrupt file stays corrupt, for the tier to classify — and a cluster
+/// root's `group/` objects sit verbatim on an attached redundancy group.
+struct Record {
+    chain: TierChain,
+    /// The record root: a flat record or cluster root itself, a
+    /// `rank####/` subdir's parent.
+    root: PathBuf,
+    /// Whether the root uses the clustered `rank####/` layout.
+    cluster: bool,
+    /// The one rank the opened directory holds (0 for a flat record);
+    /// `None` when it is a cluster root holding every rank.
+    rank: Option<u32>,
+    /// `rank####/` directories present on disk.
+    rank_dirs: BTreeSet<u32>,
+    /// Legacy unframed files, wrapped in an uncompressed frame at load
+    /// (they had no checksum to lose).
+    legacy: HashSet<ObjectId>,
+}
+
+/// Open a flat record, a cluster root, or one `rank####/` subdir of a
+/// cluster (whose whole cluster is loaded: cross-rank references and
+/// group repair need the other ranks).
+fn open_record(dir: &Path) -> Result<Record, CliError> {
+    let (root, rank, cluster) = if is_cluster_dir(dir) {
+        (dir.to_path_buf(), None, true)
+    } else if let Some(r) = dir_rank(dir) {
+        let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+        (
+            parent.unwrap_or(Path::new(".")).to_path_buf(),
+            Some(r),
+            true,
         )
-        .into());
+    } else {
+        (dir.to_path_buf(), Some(0), false)
+    };
+    let mut rec = Record {
+        chain: TierChain::new(),
+        root,
+        cluster,
+        rank,
+        rank_dirs: BTreeSet::new(),
+        legacy: HashSet::new(),
+    };
+    if !cluster {
+        rec.load_dir(dir, 0);
+        return Ok(rec);
     }
-    Ok((base, diffs, codecs))
+    let entries = std::fs::read_dir(&rec.root)
+        .map_err(|_| format!("no checkpoints found in {}", dir.display()))?;
+    for entry in entries {
+        let path = entry?.path();
+        if let Some(r) = dir_rank(&path).filter(|_| path.is_dir()) {
+            rec.rank_dirs.insert(r);
+            rec.load_dir(&path, r);
+        }
+    }
+    let group = rec.root.join("group");
+    if let Ok(text) = std::fs::read_to_string(group.join("MANIFEST")) {
+        let store = RedundancyStore::from_manifest(&text).ok_or("group/MANIFEST is malformed")?;
+        for entry in std::fs::read_dir(&group)? {
+            let path = entry?.path();
+            let key = path
+                .file_name()
+                .and_then(|n| n.to_str()?.strip_suffix(".grp")?.strip_prefix('h'))
+                .and_then(|stem| {
+                    let (h, c) = stem.split_once("_c")?;
+                    Some((h.parse().ok()?, c.parse().ok()?))
+                });
+            if let Some(key) = key {
+                store.group_tier().insert_framed(key, std::fs::read(&path)?);
+            }
+        }
+        rec.chain.attach_redundancy(Arc::new(store));
+    }
+    Ok(rec)
+}
+
+impl Record {
+    /// Put every `NNNN.ckpt` of one rank's directory on the PFS tier.
+    /// Unreadable directories and files load nothing: the rank's objects
+    /// are then typed by what the group knows of them.
+    fn load_dir(&mut self, dir: &Path, rank: u32) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for path in entries.flatten().map(|e| e.path()) {
+            let version = path
+                .file_name()
+                .and_then(|n| n.to_str()?.strip_suffix(".ckpt")?.parse().ok());
+            let (Some(version), Ok(bytes)) = (version, std::fs::read(&path)) else {
+                continue;
+            };
+            let id = (rank, version);
+            let framed = if looks_framed(&bytes) {
+                bytes
+            } else {
+                self.legacy.insert(id);
+                encode_frame(rank, version, &bytes)
+            };
+            self.chain.pfs.insert_framed(id, framed);
+        }
+    }
+
+    fn rank_path(&self, rank: u32) -> PathBuf {
+        if self.cluster {
+            rank_dir(&self.root, rank)
+        } else {
+            self.root.clone()
+        }
+    }
+
+    fn object_path(&self, id: ObjectId) -> PathBuf {
+        diff_path(&self.rank_path(id.0), id.1 as usize)
+    }
+
+    /// Read one object through the chain — verified, repaired from the
+    /// group when damaged, rank-dedup references resolved — returning its
+    /// frame codec and original payload. A lost object is an error naming
+    /// the file, never a hole.
+    fn read(&self, id: ObjectId) -> Result<(u8, Vec<u8>), CliError> {
+        let path = self.object_path(id).display().to_string();
+        let stored = self.chain.pfs.inspect_object(id);
+        let Some(payload) = self.chain.locate(id) else {
+            return Err(match stored {
+                ObjectState::Corrupt(e) => format!("{path}: corrupt frame: {e}").into(),
+                ObjectState::Valid(obj) => match obj.decode() {
+                    Err(e) => format!("{path}: corrupt frame: {e}").into(),
+                    Ok(_) => exit_with(
+                        EXIT_LOST,
+                        format!("{path}: LOST  dangling rank-dedup reference"),
+                    ),
+                },
+                _ => exit_with(
+                    EXIT_LOST,
+                    format!("{path}: LOST  missing and not rebuildable from a group"),
+                ),
+            });
+        };
+        // A repaired object is back on the PFS tier in its stored form.
+        let stored = stored
+            .into_object()
+            .or_else(|| self.chain.pfs.inspect_object(id).into_object());
+        Ok((stored.map_or(0, |o| o.codec), payload))
+    }
+
+    /// Every checkpoint id the chain knows for `rank`: its PFS objects
+    /// (quarantined ones included) and its redundancy-group members.
+    fn versions(&self, rank: u32) -> BTreeSet<u32> {
+        let pfs = &self.chain.pfs;
+        let members = self.chain.redundancy().map(|r| r.member_ids());
+        pfs.resident()
+            .into_iter()
+            .chain(pfs.quarantined())
+            .chain(members.into_iter().flatten())
+            .filter(|id| id.0 == rank)
+            .map(|id| id.1)
+            .collect()
+    }
+
+    /// The opened directory's record (see [`load_rank`](Self::load_rank)).
+    fn load(&self) -> Result<LoadedRecord, CliError> {
+        match self.rank {
+            Some(rank) => self.load_rank(rank),
+            None => Err(format!("no checkpoints found in {}", self.root.display()).into()),
+        }
+    }
+
+    /// One rank's diffs in version order, every version read through the
+    /// chain: a version it cannot produce fails the load rather than
+    /// shortening the chain.
+    fn load_rank(&self, rank: u32) -> Result<LoadedRecord, CliError> {
+        let versions = self.versions(rank);
+        let (Some(&base), Some(&last)) = (versions.first(), versions.last()) else {
+            let dir = self.rank_path(rank);
+            return Err(format!("no checkpoints found in {}", dir.display()).into());
+        };
+        let mut diffs = Vec::new();
+        let mut codecs = Vec::new();
+        for version in base..=last {
+            let (codec, payload) = self.read((rank, version))?;
+            let path = self.object_path((rank, version));
+            codecs.push(codec);
+            diffs.push(Diff::decode(&payload).map_err(|e| format!("{}: {e}", path.display()))?);
+        }
+        if base > 0 && !is_self_contained(&diffs[0]) {
+            return Err(format!(
+                "record is compacted at v{base:04} but that record is not self-contained \
+                 (not a rebase point); the chain cannot replay"
+            )
+            .into());
+        }
+        Ok((base as usize, diffs, codecs))
+    }
+
+    /// Classify every object of the opened directory from the chain's
+    /// recovery report (see [`VerifyStatus::of`]), per rank in rank order.
+    /// A durable object whose payload is not a decodable diff is lost too.
+    fn classify(&self) -> Vec<(u32, Vec<Verdict>)> {
+        // Frame errors, read before recovery quarantines damaged copies.
+        let damage: HashMap<ObjectId, FrameError> =
+            corrupt_frames(&self.chain.pfs).into_iter().collect();
+        let mut ranks: BTreeMap<u32, Vec<Verdict>> = BTreeMap::new();
+        for r in self.chain.recover_report().ranks {
+            if self.rank.is_none_or(|k| k == r.rank) {
+                let verdicts = r
+                    .objects
+                    .iter()
+                    .map(|o| self.verdict((r.rank, o.ckpt_id), o.status, &damage));
+                ranks.insert(r.rank, verdicts.collect());
+            }
+        }
+        if self.rank.is_none() {
+            // A rank directory holding nothing the group knows of.
+            for &rank in &self.rank_dirs {
+                let detail = "no checkpoints and unknown to the group";
+                ranks
+                    .entry(rank)
+                    .or_insert_with(|| vec![Verdict::lost(0, detail.into())]);
+            }
+        }
+        ranks.into_iter().collect()
+    }
+
+    /// One object's verdict given its recovery status and the frame
+    /// errors seen before recovery.
+    fn verdict(
+        &self,
+        id: ObjectId,
+        recovered: ObjectStatus,
+        damage: &HashMap<ObjectId, FrameError>,
+    ) -> Verdict {
+        let lost = |detail: String| Verdict::lost(id.1, detail);
+        let status = VerifyStatus::of(recovered);
+        if status == VerifyStatus::Lost {
+            return lost(if self.chain.pfs.contains(id) {
+                // A verified (or group-rebuilt) copy whose references dangle.
+                "dangling rank-dedup reference".into()
+            } else if let Some(e) = damage.get(&id) {
+                format!("corrupt frame: {e}")
+            } else {
+                "no verified copy and not rebuildable from a group".into()
+            });
+        }
+        let codec = match self.read(id) {
+            Ok((codec, payload)) => match Diff::decode(&payload) {
+                Ok(_) => codec,
+                Err(e) => return lost(e.to_string()),
+            },
+            Err(e) => return lost(e.to_string()),
+        };
+        let detail = match recovered {
+            ObjectStatus::RestoredFromGroup => {
+                let policy = self.chain.redundancy().map(|r| r.policy().label());
+                format!(
+                    "reconstructable from group ({})",
+                    policy.unwrap_or_default()
+                )
+            }
+            ObjectStatus::Repaired => "repaired from a redundant copy".into(),
+            _ => String::new(),
+        };
+        Verdict {
+            ckpt_id: id.1,
+            status,
+            detail,
+            codec,
+        }
+    }
+}
+
+/// Objects on `tier` whose frame fails verification, with the error.
+fn corrupt_frames(tier: &Tier) -> Vec<(ObjectId, FrameError)> {
+    tier.resident()
+        .into_iter()
+        .filter_map(|id| match tier.inspect_object(id) {
+            ObjectState::Corrupt(e) => Some((id, e)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Print the one-line JSON telemetry report: the command-specific header
@@ -306,6 +534,56 @@ fn emit_stats_report(
     registry.write_json(&mut w);
     w.end_object();
     println!("stats: {}", w.finish());
+}
+
+/// Parsed `ckpt create` options, shared by the flat and clustered layouts.
+struct Create {
+    out_dir: PathBuf,
+    method: String,
+    chunk: usize,
+    policy: CompressionPolicy,
+    payload_compress: Option<String>,
+    verify_collisions: bool,
+    redundancy: RedundancyPolicy,
+    rank_dedup: bool,
+    n_ranks: usize,
+    snapshots: Vec<PathBuf>,
+    stats: bool,
+}
+
+impl Create {
+    /// A fresh `--method` checkpointer on `device`.
+    fn checkpointer(&self, device: &Device) -> Result<Box<dyn Checkpointer>, String> {
+        let mut cfg = TreeConfig::new(self.chunk);
+        if let Some(codec) = &self.payload_compress {
+            cfg = cfg.with_payload_codec(codec);
+        }
+        if self.verify_collisions {
+            cfg = cfg.with_collision_verification();
+        }
+        Ok(match self.method.as_str() {
+            "tree" => Box::new(TreeCheckpointer::new(device.clone(), cfg)),
+            "list" => Box::new(ListCheckpointer::new(device.clone(), cfg)),
+            "basic" => Box::new(BasicCheckpointer::new(device.clone(), self.chunk)),
+            "full" => Box::new(FullCheckpointer::new(device.clone(), self.chunk)),
+            other => return Err(format!("unknown method '{other}'")),
+        })
+    }
+
+    /// A metric sink bound to the report `registry` under `--stats`, and
+    /// detached (counting nothing) otherwise.
+    fn sink<M>(
+        &self,
+        registry: &Arc<Registry>,
+        bound: fn(Arc<Registry>) -> M,
+        detached: fn() -> M,
+    ) -> M {
+        if self.stats {
+            bound(Arc::clone(registry))
+        } else {
+            detached()
+        }
+    }
 }
 
 fn cmd_create(args: &[String], stats: bool) -> CliResult {
@@ -389,56 +667,43 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             .ok_or_else(|| format!("unknown --compress policy '{spec}' (off|adaptive|<codec>)"))?,
     };
 
-    if redundancy != RedundancyPolicy::Off || ranks.is_some() {
-        // A rank count defaults to one full redundancy group.
-        let n_ranks = ranks.unwrap_or(redundancy.group_size().max(1) as usize);
-        return cmd_create_cluster(CreateCluster {
-            out_dir,
-            method,
-            chunk,
-            policy,
-            payload_compress,
-            verify_collisions,
-            redundancy,
-            rank_dedup,
-            n_ranks,
-            snapshots,
-            stats,
-        });
-    }
-    if rank_dedup {
+    let clustered = redundancy != RedundancyPolicy::Off || ranks.is_some();
+    if rank_dedup && !clustered {
         return Err("--rank-dedup needs a clustered record (--ranks and/or --redundancy)".into());
     }
-
-    let device = Device::a100();
-    let mut cfg = TreeConfig::new(chunk);
-    if let Some(codec) = &payload_compress {
-        cfg = cfg.with_payload_codec(codec);
-    }
-    if verify_collisions {
-        cfg = cfg.with_collision_verification();
-    }
-    let mut ckpt: Box<dyn Checkpointer> = match method.as_str() {
-        "tree" => Box::new(TreeCheckpointer::new(device.clone(), cfg)),
-        "list" => Box::new(ListCheckpointer::new(device.clone(), cfg)),
-        "basic" => Box::new(BasicCheckpointer::new(device.clone(), chunk)),
-        "full" => Box::new(FullCheckpointer::new(device.clone(), chunk)),
-        other => return Err(format!("unknown method '{other}'").into()),
+    let c = Create {
+        out_dir,
+        method,
+        chunk,
+        policy,
+        payload_compress,
+        verify_collisions,
+        redundancy,
+        rank_dedup,
+        // A rank count defaults to one full redundancy group.
+        n_ranks: ranks.unwrap_or(redundancy.group_size().max(1) as usize),
+        snapshots,
+        stats,
     };
-
-    let registry = Arc::new(Registry::new());
-    let metrics = Arc::new(if stats {
-        CompressMetrics::bound(registry.clone())
+    if clustered {
+        cmd_create_cluster(c)
     } else {
-        CompressMetrics::detached()
-    });
-    let engine = CompressionEngine::new(policy, metrics);
+        cmd_create_flat(c)
+    }
+}
+
+fn cmd_create_flat(c: Create) -> CliResult {
+    let device = Device::a100();
+    let mut ckpt = c.checkpointer(&device)?;
+    let registry = Arc::new(Registry::new());
+    let metrics = c.sink(&registry, CompressMetrics::bound, CompressMetrics::detached);
+    let engine = CompressionEngine::new(c.policy, Arc::new(metrics));
     let mut breakdowns = Vec::new();
     let mut total_in = 0u64;
     let mut total_out = 0u64;
-    for (version, path) in snapshots.iter().enumerate() {
+    for (version, path) in c.snapshots.iter().enumerate() {
         let data = std::fs::read(path)?;
-        let mut span = stats.then(|| registry.span("cli/checkpoint"));
+        let mut span = c.stats.then(|| registry.span("cli/checkpoint"));
         let out = ckpt.checkpoint(&data);
         if let Some(s) = span.as_mut() {
             s.add_modeled_sec(out.stats.modeled_sec);
@@ -452,18 +717,10 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
         // bookkeeping, not checkpoint data).
         let object = engine.encode(encoded);
         let stored_len = object.payload.len();
-        let framed = if object.codec == 0 {
-            encode_frame(0, version as u32, &object.payload)
-        } else {
-            encode_frame_compressed(
-                0,
-                version as u32,
-                object.codec,
-                object.uncompressed_len,
-                &object.payload,
-            )
-        };
-        std::fs::write(diff_path(&out_dir, version), framed)?;
+        std::fs::write(
+            diff_path(&c.out_dir, version),
+            object.frame((0, version as u32)),
+        )?;
         total_in += data.len() as u64;
         total_out += stored_len as u64;
         println!(
@@ -481,7 +738,7 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
                 String::new()
             },
         );
-        if stats {
+        if c.stats {
             registry
                 .histogram("cli/snapshot_bytes")
                 .record(data.len() as u64);
@@ -495,12 +752,14 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     }
     println!(
         "record: {} versions, {total_in} -> {total_out} bytes ({:.2}x), modeled device time {:.3} ms",
-        snapshots.len(),
+        c.snapshots.len(),
         total_in as f64 / total_out.max(1) as f64,
         device.metrics().modeled_sec() * 1e3,
     );
-    if stats {
-        registry.counter("cli/versions").add(snapshots.len() as u64);
+    if c.stats {
+        registry
+            .counter("cli/versions")
+            .add(c.snapshots.len() as u64);
         // Steady-state memory counters: device-arena lease traffic and
         // historical-record reset/rebuild counts for the whole record.
         let mem = ckpt.memory_stats();
@@ -521,7 +780,7 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
         emit_stats_report(
             "create",
             &[
-                ("versions", snapshots.len() as u64),
+                ("versions", c.snapshots.len() as u64),
                 ("input_bytes", total_in),
                 ("stored_bytes", total_out),
             ],
@@ -533,163 +792,12 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     Ok(())
 }
 
-/// Per-rank record subdirectory of a clustered record root.
-fn rank_dir(root: &Path, rank: u32) -> PathBuf {
-    root.join(format!("rank{rank:04}"))
-}
-
-/// On-disk name of one exported group object (partner copy or parity
-/// stripe), keyed by `(hosting_rank, ckpt_id)`.
-fn group_object_path(root: &Path, key: ObjectId) -> PathBuf {
-    root.join("group")
-        .join(format!("h{:04}_c{:04}.grp", key.0, key.1))
-}
-
-/// Whether a record root uses the clustered multi-rank layout. Any
-/// surviving `rank####/` subdirectory counts — a cluster that lost rank 0
-/// *and* its group tier must still verify as a cluster, with the absent
-/// members typed, not fall back to the flat-record path.
-fn is_cluster_dir(dir: &Path) -> bool {
-    if dir.join("group").join("MANIFEST").exists() {
-        return true;
-    }
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return false;
-    };
-    entries.flatten().any(|e| {
-        e.path().is_dir()
-            && e.file_name()
-                .to_str()
-                .and_then(|n| n.strip_prefix("rank"))
-                .is_some_and(|n| n.len() == 4 && n.chars().all(|c| c.is_ascii_digit()))
-    })
-}
-
-/// Read one member's stored object back from its rank directory: the
-/// framed file, checksum-verified, with the *stored* (possibly compressed)
-/// payload kept intact so group checksums line up with what was encoded.
-fn read_member_object(root: &Path, id: ObjectId) -> Option<StoredObject> {
-    let path = rank_dir(root, id.0).join(format!("{:04}.ckpt", id.1));
-    let bytes = std::fs::read(&path).ok()?;
-    let (header, payload) = decode_frame_expecting(&bytes, Some(id)).ok()?;
-    Some(if header.codec == 0 {
-        StoredObject::raw(payload.to_vec())
-    } else {
-        StoredObject::encoded(header.codec, header.uncompressed_len, payload.to_vec())
-    })
-}
-
-/// The cluster root a record directory belongs to: the directory itself
-/// when it is a cluster root, its parent when it is a `rank####/` record
-/// subdir, `None` for a flat record.
-fn cluster_root_of(dir: &Path) -> Option<PathBuf> {
-    if is_cluster_dir(dir) {
-        return Some(dir.to_path_buf());
-    }
-    dir_rank(dir)
-        .and_then(|_| dir.parent())
-        .map(Path::to_path_buf)
-}
-
-/// Load the record root's redundancy group (manifest + exported group
-/// objects) when one exists, ready to reconstruct lost members.
-fn load_group_store(root: &Path) -> Result<Option<RedundancyStore>, Box<dyn std::error::Error>> {
-    let manifest_path = root.join("group").join("MANIFEST");
-    if !manifest_path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&manifest_path)?;
-    let store = RedundancyStore::from_manifest(&text).ok_or("group/MANIFEST is malformed")?;
-    for entry in std::fs::read_dir(root.join("group"))? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(stem) = name.strip_suffix(".grp") else {
-            continue;
-        };
-        let key: ObjectId = (|| {
-            let (h, c) = stem.strip_prefix('h')?.split_once("_c")?;
-            Some((h.parse().ok()?, c.parse().ok()?))
-        })()
-        .ok_or_else(|| format!("unparseable group object name '{name}'"))?;
-        let bytes = std::fs::read(&path)?;
-        let (header, payload) = decode_frame_expecting(&bytes, Some(key))
-            .map_err(|e| format!("{}: corrupt group frame: {e}", path.display()))?;
-        let obj = if header.codec == 0 {
-            StoredObject::raw(payload.to_vec())
-        } else {
-            StoredObject::encoded(header.codec, header.uncompressed_len, payload.to_vec())
-        };
-        store
-            .group_tier()
-            .store_object(key, obj)
-            .map_err(|_| format!("{}: group store refused the object", path.display()))?;
-    }
-    Ok(Some(store))
-}
-
-/// The decoded stored payload of one cluster member, for rank-dedup
-/// reference resolution: the rank's file when it verifies, else a group
-/// reconstruction — so a chunk on a lost rank still resolves through its
-/// parity group. `None` is a typed dangling reference upstream.
-fn fetch_member_payload(
-    root: &Path,
-    store: Option<&RedundancyStore>,
-    id: ObjectId,
-) -> Option<Vec<u8>> {
-    if let Some(obj) = read_member_object(root, id) {
-        if let Ok(payload) = obj.decode() {
-            return Some(payload);
-        }
-    }
-    let store = store?;
-    let fetch = |mid: ObjectId| read_member_object(root, mid);
-    store.reconstruct(id, &fetch).ok()?.decode().ok()
-}
-
-/// Cluster context for resolving rank-dedup records outside the runtime:
-/// the record root plus its (lazily loaded) redundancy group.
-struct ClusterContext {
-    root: PathBuf,
-    store: Option<RedundancyStore>,
-}
-
-impl ClusterContext {
-    fn open(dir: &Path) -> Result<Option<Self>, Box<dyn std::error::Error>> {
-        let Some(root) = cluster_root_of(dir) else {
-            return Ok(None);
-        };
-        let store = load_group_store(&root)?;
-        Ok(Some(ClusterContext { root, store }))
-    }
-
-    fn resolve(&self, id: ObjectId, payload: &[u8]) -> Result<Vec<u8>, String> {
-        let fetch = |mid: ObjectId| fetch_member_payload(&self.root, self.store.as_ref(), mid);
-        resolve_record(id, payload, &fetch).map_err(|e| e.to_string())
-    }
-}
-
-struct CreateCluster {
-    out_dir: PathBuf,
-    method: String,
-    chunk: usize,
-    policy: CompressionPolicy,
-    payload_compress: Option<String>,
-    verify_collisions: bool,
-    redundancy: RedundancyPolicy,
-    rank_dedup: bool,
-    n_ranks: usize,
-    snapshots: Vec<PathBuf>,
-    stats: bool,
-}
-
 /// `ckpt create --redundancy ... [--ranks R]`: the snapshots are split
 /// into `R` contiguous per-rank sequences, each rank de-duplicates its own
 /// record into `rank####/`, and every framed record file is additionally
 /// partner-copied or XOR-parity-encoded across the rank's group into
 /// `group/` (plus a `group/MANIFEST` naming policy and members).
-fn cmd_create_cluster(c: CreateCluster) -> CliResult {
+fn cmd_create_cluster(c: Create) -> CliResult {
     let n = c.snapshots.len();
     if n < c.n_ranks {
         return Err(format!("{n} snapshots cannot be split across {} ranks", c.n_ranks).into());
@@ -704,39 +812,30 @@ fn cmd_create_cluster(c: CreateCluster) -> CliResult {
         .into());
     }
     let registry = Arc::new(Registry::new());
-    let engine = CompressionEngine::new(
-        c.policy,
-        Arc::new(if c.stats {
-            CompressMetrics::bound(registry.clone())
-        } else {
-            CompressMetrics::detached()
-        }),
-    );
+    let metrics = c.sink(&registry, CompressMetrics::bound, CompressMetrics::detached);
+    let engine = CompressionEngine::new(c.policy, Arc::new(metrics));
     let store = (c.redundancy != RedundancyPolicy::Off).then(|| {
-        RedundancyStore::new(
-            c.redundancy,
-            if c.stats {
-                RedundancyMetrics::bound(registry.clone())
-            } else {
-                RedundancyMetrics::detached()
-            },
-        )
+        let metrics = c.sink(
+            &registry,
+            RedundancyMetrics::bound,
+            RedundancyMetrics::detached,
+        );
+        RedundancyStore::new(c.redundancy, metrics)
     });
     // The cluster dedup index: one inline engine shared by every rank, so
     // stored-byte totals are deterministic. Ranks encode in order, so later
     // ranks reference chunks the earlier ones claimed.
     let dedup = c.rank_dedup.then(|| {
-        RankDedupEngine::new(
-            RankDedupConfig {
-                ranks: c.n_ranks as u32,
-                chunk_len: c.chunk,
-            },
-            if c.stats {
-                RankDedupMetrics::bound(registry.clone())
-            } else {
-                RankDedupMetrics::detached()
-            },
-        )
+        let config = RankDedupConfig {
+            ranks: c.n_ranks as u32,
+            chunk_len: c.chunk,
+        };
+        let metrics = c.sink(
+            &registry,
+            RankDedupMetrics::bound,
+            RankDedupMetrics::detached,
+        );
+        RankDedupEngine::new(config, metrics)
     });
 
     // Contiguous split: the first `n % ranks` ranks take one extra.
@@ -751,48 +850,24 @@ fn cmd_create_cluster(c: CreateCluster) -> CliResult {
         next += take;
         let rdir = rank_dir(&c.out_dir, rank);
         std::fs::create_dir_all(&rdir)?;
-        let device = Device::a100();
-        let mut cfg = TreeConfig::new(c.chunk);
-        if let Some(codec) = &c.payload_compress {
-            cfg = cfg.with_payload_codec(codec);
-        }
-        if c.verify_collisions {
-            cfg = cfg.with_collision_verification();
-        }
-        let mut ckpt: Box<dyn Checkpointer> = match c.method.as_str() {
-            "tree" => Box::new(TreeCheckpointer::new(device.clone(), cfg)),
-            "list" => Box::new(ListCheckpointer::new(device.clone(), cfg)),
-            "basic" => Box::new(BasicCheckpointer::new(device.clone(), c.chunk)),
-            "full" => Box::new(FullCheckpointer::new(device.clone(), c.chunk)),
-            other => return Err(format!("unknown method '{other}'").into()),
-        };
+        let mut ckpt = c.checkpointer(&Device::a100())?;
         for (version, path) in slice.iter().enumerate() {
+            let id = (rank, version as u32);
             let data = std::fs::read(path)?;
             let out = ckpt.checkpoint(&data);
             // Dedup against the cluster index *before* frame compression,
             // so cross-rank references survive any codec.
             let staged = match &dedup {
-                Some(e) => e.encode((rank, version as u32), out.diff.encode()),
+                Some(e) => e.encode(id, out.diff.encode()),
                 None => out.diff.encode(),
             };
             let object = engine.encode(staged);
             if let Some(store) = &store {
-                store.encode_member((rank, version as u32), &object);
+                store.encode_member(id, &object);
             }
-            let framed = if object.codec == 0 {
-                encode_frame(rank, version as u32, &object.payload)
-            } else {
-                encode_frame_compressed(
-                    rank,
-                    version as u32,
-                    object.codec,
-                    object.uncompressed_len,
-                    &object.payload,
-                )
-            };
             total_in += data.len() as u64;
             total_out += object.payload.len() as u64;
-            std::fs::write(diff_path(&rdir, version), framed)?;
+            std::fs::write(diff_path(&rdir, version), object.frame(id))?;
         }
         println!(
             "rank{rank:04}: {take} versions  ({} .. {})",
@@ -818,11 +893,7 @@ fn cmd_create_cluster(c: CreateCluster) -> CliResult {
                 .inspect_object(key)
                 .into_object()
                 .ok_or("group object failed verification during export")?;
-            let framed = if obj.codec == 0 {
-                encode_frame(key.0, key.1, &obj.payload)
-            } else {
-                encode_frame_compressed(key.0, key.1, obj.codec, obj.uncompressed_len, &obj.payload)
-            };
+            let framed = obj.frame(key);
             group_bytes += framed.len() as u64;
             group_objects += 1;
             std::fs::write(group_object_path(&c.out_dir, key), framed)?;
@@ -866,128 +937,13 @@ fn cmd_create_cluster(c: CreateCluster) -> CliResult {
     Ok(())
 }
 
-/// Group-aware verification of a clustered record: every present rank
-/// directory is integrity-verified like a flat record, and every rank
-/// whose directory is *absent* is checked object by object against the
-/// redundancy group — reported as reconstructable or LOST, never silently
-/// skipped.
-fn verify_cluster(dir: &Path, json: bool) -> CliResult {
-    let ctx = ClusterContext {
-        root: dir.to_path_buf(),
-        store: load_group_store(dir)?,
-    };
-
-    // The rank set: every rank#### directory present, plus every rank the
-    // group manifest knows about (so a wholly-lost rank is still checked).
-    let mut ranks: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        if let Some(r) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("rank"))
-            .and_then(|n| n.parse().ok())
-        {
-            ranks.insert(r);
-        }
-    }
-    if let Some(store) = &ctx.store {
-        ranks.extend(store.member_ids().iter().map(|&(r, _)| r));
-    }
-    if ranks.is_empty() {
-        return Err(format!("no rank directories found in {}", dir.display()).into());
-    }
-
-    let mut report: Vec<(u32, Vec<(u32, VerifyStatus)>)> = Vec::new();
-    for &rank in &ranks {
-        let rdir = rank_dir(dir, rank);
-        // Every object the record names for this rank: its on-disk files
-        // plus everything the group manifest attributes to it, so a wiped
-        // file is still typed rather than silently absent.
-        let mut ckpts: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        if rdir.is_dir() {
-            for entry in std::fs::read_dir(&rdir)? {
-                let name = entry?.file_name();
-                if let Some(v) = name
-                    .to_str()
-                    .and_then(|n| n.strip_suffix(".ckpt"))
-                    .and_then(|n| n.parse().ok())
-                {
-                    ckpts.insert(v);
-                }
-            }
-        }
-        if let Some(store) = &ctx.store {
-            ckpts.extend(
-                store
-                    .member_ids()
-                    .iter()
-                    .filter(|&&(r, _)| r == rank)
-                    .map(|&(_, c)| c),
-            );
-        }
-        if ckpts.is_empty() {
-            println!("rank{rank:04}: LOST  directory absent and unknown to the group");
-            report.push((rank, vec![(0, VerifyStatus::Lost)]));
-            continue;
-        }
-        let mut objects = Vec::with_capacity(ckpts.len());
-        for ckpt_id in ckpts {
-            let id = (rank, ckpt_id);
-            let (status, detail) = classify_member(&ctx, id);
-            println!(
-                "rank{rank:04} v{ckpt_id:04} {}{}{}",
-                status.label(),
-                if detail.is_empty() { "" } else { "  " },
-                detail,
-            );
-            objects.push((ckpt_id, status));
-        }
-        report.push((rank, objects));
-    }
-
-    let count = |s: VerifyStatus| -> u64 {
-        report
-            .iter()
-            .flat_map(|(_, objs)| objs.iter())
-            .filter(|&&(_, st)| st == s)
-            .count() as u64
-    };
-    let (verified, repairable, lost) = (
-        count(VerifyStatus::Verified),
-        count(VerifyStatus::Repairable),
-        count(VerifyStatus::Lost),
-    );
-    if json {
-        println!(
-            "{}",
-            verify_report_json("cluster", verified, repairable, lost, &report)
-        );
-    }
-    if lost > 0 {
-        return Err(exit_with(
-            EXIT_LOST,
-            format!("{lost} object(s) LOST ({repairable} repairable, {verified} verified)"),
-        ));
-    }
-    if repairable > 0 {
-        return Err(exit_with(
-            EXIT_REPAIRABLE,
-            format!("{repairable} object(s) repairable from the group ({verified} verified)"),
-        ));
-    }
-    println!(
-        "cluster record ok: {} ranks, {verified} objects verified",
-        ranks.len()
-    );
-    Ok(())
-}
-
-/// Stable per-object verification outcome (and its process exit code):
-/// `verified` (0) — the stored frame decodes and, for rank-dedup records,
-/// every cross-rank reference resolves; `repairable` (3) — the local copy
-/// is corrupt or absent but the redundancy group rebuilds it bit-exact;
-/// `lost` (4) — no path to a correct payload (a dangling remote reference
-/// lands here, never a wrong payload).
+/// Stable per-object verification outcome, taken from the chain's
+/// recovery report: `verified` (exit 0) — the stored frame verifies and,
+/// for rank-dedup records, every cross-rank reference resolves;
+/// `repairable` (3) — the local copy is corrupt or absent but the
+/// redundancy group rebuilds it bit-exact; `lost` (4) — no path to a
+/// correct payload (a dangling remote reference lands here, never a wrong
+/// payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VerifyStatus {
     Verified,
@@ -996,6 +952,15 @@ enum VerifyStatus {
 }
 
 impl VerifyStatus {
+    /// The recovery-report status mapped onto the verify matrix.
+    fn of(status: ObjectStatus) -> Self {
+        match status {
+            ObjectStatus::Verified => VerifyStatus::Verified,
+            ObjectStatus::Repaired | ObjectStatus::RestoredFromGroup => VerifyStatus::Repairable,
+            ObjectStatus::LostCorrupt | ObjectStatus::LostVolatile => VerifyStatus::Lost,
+        }
+    }
+
     fn label(self) -> &'static str {
         match self {
             VerifyStatus::Verified => "ok",
@@ -1013,58 +978,23 @@ impl VerifyStatus {
     }
 }
 
-/// Classify one cluster member (see [`VerifyStatus`]).
-fn classify_member(ctx: &ClusterContext, id: ObjectId) -> (VerifyStatus, String) {
-    // A payload is only acceptable once fully proven: frame checksum,
-    // rank-dedup reference resolution (checksummed against the original),
-    // and diff decode.
-    let prove = |payload: Vec<u8>| -> Result<(), String> {
-        let resolved = if looks_rankdedup(&payload) {
-            ctx.resolve(id, &payload)
-                .map_err(|e| format!("dangling rank-dedup reference: {e}"))?
-        } else {
-            payload
-        };
-        Diff::decode(&resolved).map_err(|e| e.to_string())?;
-        Ok(())
-    };
-    let path = rank_dir(&ctx.root, id.0).join(format!("{:04}.ckpt", id.1));
-    let direct = std::fs::read(&path)
-        .ok()
-        .and_then(|bytes| unframe_as(&bytes, id.0, id.1 as usize, &path).ok())
-        .map(|(_, payload)| payload);
-    let direct_err = match direct {
-        Some(payload) => match prove(payload) {
-            Ok(()) => return (VerifyStatus::Verified, String::new()),
-            // The local bytes verified as a frame but the payload cannot be
-            // proven (dangling reference / undecodable diff): the group
-            // holds the *same* object, so reconstruction cannot repair a
-            // resolution failure — only a damaged or missing local copy.
-            Err(e) => Some(e),
-        },
-        None => None,
-    };
-    if let Some(e) = direct_err {
-        return (VerifyStatus::Lost, e);
-    }
-    let Some(store) = &ctx.store else {
-        return (
-            VerifyStatus::Lost,
-            "no local copy and no redundancy group".into(),
-        );
-    };
-    let fetch = |mid: ObjectId| read_member_object(&ctx.root, mid);
-    match store
-        .reconstruct(id, &fetch)
-        .map_err(|e| e.to_string())
-        .and_then(|obj| obj.decode().map_err(|e| e.to_string()))
-        .and_then(&prove)
-    {
-        Ok(()) => (
-            VerifyStatus::Repairable,
-            format!("reconstructable from group ({})", store.policy().label()),
-        ),
-        Err(e) => (VerifyStatus::Lost, e),
+/// One object's verify outcome: its status, a human-readable reason, and
+/// the frame codec of its verified copy (0 when lost).
+struct Verdict {
+    ckpt_id: u32,
+    status: VerifyStatus,
+    detail: String,
+    codec: u8,
+}
+
+impl Verdict {
+    fn lost(ckpt_id: u32, detail: String) -> Self {
+        Verdict {
+            ckpt_id,
+            status: VerifyStatus::Lost,
+            detail,
+            codec: 0,
+        }
     }
 }
 
@@ -1074,28 +1004,31 @@ fn classify_member(ctx: &ClusterContext, id: ObjectId) -> (VerifyStatus, String)
 ///   [{"ckpt_id":K,"status":"verified"|"repairable"|"lost"},..]},..]}`
 fn verify_report_json(
     mode: &str,
-    verified: u64,
-    repairable: u64,
-    lost: u64,
-    ranks: &[(u32, Vec<(u32, VerifyStatus)>)],
+    count: impl Fn(VerifyStatus) -> u64,
+    ranks: &[(u32, Vec<Verdict>)],
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("command").string("verify");
     w.key("mode").string(mode);
-    w.key("clean").bool(repairable == 0 && lost == 0);
-    w.key("verified").u64(verified);
-    w.key("repairable").u64(repairable);
-    w.key("lost").u64(lost);
+    w.key("clean")
+        .bool(count(VerifyStatus::Repairable) + count(VerifyStatus::Lost) == 0);
+    for status in [
+        VerifyStatus::Verified,
+        VerifyStatus::Repairable,
+        VerifyStatus::Lost,
+    ] {
+        w.key(status.json_name()).u64(count(status));
+    }
     w.key("ranks").begin_array();
     for (rank, objects) in ranks {
         w.begin_object();
         w.key("rank").u64(*rank as u64);
         w.key("objects").begin_array();
-        for (ckpt_id, status) in objects {
+        for v in objects {
             w.begin_object();
-            w.key("ckpt_id").u64(*ckpt_id as u64);
-            w.key("status").string(status.json_name());
+            w.key("ckpt_id").u64(v.ckpt_id as u64);
+            w.key("status").string(v.status.json_name());
             w.end_object();
         }
         w.end_array();
@@ -1107,51 +1040,18 @@ fn verify_report_json(
 }
 
 /// Group-aware `ckpt stats` over a clustered record: per-rank record
-/// aggregates plus `redundancy/*` inventory counters.
-fn cmd_stats_cluster(dir: &Path) -> CliResult {
+/// aggregates over the present rank directories plus `rankdedup/*` and
+/// `redundancy/*` inventory counters from the chain's tiers.
+fn cmd_stats_cluster(rec: &Record) -> CliResult {
+    if rec.rank_dirs.is_empty() {
+        return Err(format!("no rank directories found in {}", rec.root.display()).into());
+    }
     let registry = Registry::new();
     let mut versions = 0u64;
     let mut stored = 0u64;
-    let mut n_ranks = 0u64;
     let mut method: Option<String> = None;
-    // Scan for rank#### directories rather than counting up from 0: a
-    // wholly-lost rank must not hide the ranks numbered after it.
-    let mut present: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        if let Some(r) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("rank"))
-            .and_then(|n| n.parse().ok())
-        {
-            present.insert(r);
-        }
-    }
-    // Rank-dedup inventory: counted from the *stored* records (before
-    // reference resolution), so `rankdedup/remote_bytes_saved` reports
-    // what cross-rank sharing actually kept off the disk.
-    let mut dedup_records = 0u64;
-    let mut dedup_remote_refs = 0u64;
-    let mut dedup_bytes_saved = 0u64;
-    for &rank in &present {
-        let rdir = rank_dir(dir, rank);
-        n_ranks += 1;
-        for version in record_base(&rdir)?.. {
-            let path = diff_path(&rdir, version);
-            if !path.exists() {
-                break;
-            }
-            let bytes = std::fs::read(&path)?;
-            let Ok((_, payload)) = unframe_as(&bytes, rank, version, &path) else {
-                continue;
-            };
-            if let Ok(rec) = RankDedupRecord::decode(&payload) {
-                dedup_records += 1;
-                dedup_remote_refs += rec.remote_refs().count() as u64;
-                dedup_bytes_saved += rec.orig_len.saturating_sub(rec.local.len() as u64);
-            }
-        }
-        let (_base, diffs, _codecs) = load_record_as(&rdir, rank)?;
+    for &rank in &rec.rank_dirs {
+        let (_base, diffs, _codecs) = rec.load_rank(rank)?;
         method.get_or_insert_with(|| diffs[0].kind.name().to_string());
         for d in &diffs {
             registry
@@ -1160,6 +1060,28 @@ fn cmd_stats_cluster(dir: &Path) -> CliResult {
             stored += d.stored_bytes() as u64;
         }
         versions += diffs.len() as u64;
+    }
+    // Rank-dedup inventory: counted from the *stored* records (before
+    // reference resolution), so `rankdedup/remote_bytes_saved` reports
+    // what cross-rank sharing actually kept off the disk.
+    let mut dedup_records = 0u64;
+    let mut dedup_remote_refs = 0u64;
+    let mut dedup_bytes_saved = 0u64;
+    let pfs = &rec.chain.pfs;
+    for id in pfs
+        .resident()
+        .into_iter()
+        .filter(|id| rec.rank_dirs.contains(&id.0))
+    {
+        let payload = pfs
+            .inspect_object(id)
+            .into_object()
+            .and_then(|o| o.decode().ok());
+        if let Some(r) = payload.and_then(|p| RankDedupRecord::decode(&p).ok()) {
+            dedup_records += 1;
+            dedup_remote_refs += r.remote_refs().count() as u64;
+            dedup_bytes_saved += r.orig_len.saturating_sub(r.local.len() as u64);
+        }
     }
     if dedup_records > 0 {
         registry.counter("rankdedup/records").add(dedup_records);
@@ -1170,37 +1092,33 @@ fn cmd_stats_cluster(dir: &Path) -> CliResult {
             .counter("rankdedup/remote_bytes_saved")
             .add(dedup_bytes_saved);
     }
-    let manifest_path = dir.join("group").join("MANIFEST");
-    if let Ok(text) = std::fs::read_to_string(&manifest_path) {
-        let store = RedundancyStore::from_manifest(&text).ok_or("group/MANIFEST is malformed")?;
+    if let Some(red) = rec.chain.redundancy() {
+        let group = red.group_tier();
+        let keys = group.resident();
+        // Framed bytes, as exported to `group/`.
+        let group_bytes: usize = keys
+            .iter()
+            .filter_map(|&k| group.raw(k))
+            .map(|b| b.len())
+            .sum();
         registry
             .counter("redundancy/members")
-            .add(store.member_ids().len() as u64);
-        let mut group_objects = 0u64;
-        let mut group_bytes = 0u64;
-        for entry in std::fs::read_dir(dir.join("group"))? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "grp") {
-                group_objects += 1;
-                group_bytes += entry.metadata()?.len();
-            }
-        }
+            .add(red.member_ids().len() as u64);
         registry
             .counter("redundancy/group_objects")
-            .add(group_objects);
-        registry.counter("redundancy/group_bytes").add(group_bytes);
+            .add(keys.len() as u64);
+        registry
+            .counter("redundancy/group_bytes")
+            .add(group_bytes as u64);
         registry
             .counter("redundancy/group_ranks")
-            .add(store.policy().group_size() as u64);
-    }
-    if n_ranks == 0 {
-        return Err(format!("no rank directories found in {}", dir.display()).into());
+            .add(red.policy().group_size() as u64);
     }
     emit_stats_report(
         "stats",
         &[
             ("versions", versions),
-            ("ranks", n_ranks),
+            ("ranks", rec.rank_dirs.len() as u64),
             ("stored_bytes", stored),
         ],
         method.as_deref(),
@@ -1212,7 +1130,7 @@ fn cmd_stats_cluster(dir: &Path) -> CliResult {
 
 fn cmd_info(args: &[String]) -> CliResult {
     let dir = PathBuf::from(args.first().ok_or("missing <dir>")?);
-    let (base, diffs, codecs) = load_record(&dir)?;
+    let (base, diffs, codecs) = open_record(&dir)?.load()?;
     println!(
         "record {}: {} versions{}, method {}, chunk {} B, buffer {} bytes",
         dir.display(),
@@ -1242,11 +1160,7 @@ fn cmd_info(args: &[String]) -> CliResult {
             } else {
                 ""
             },
-            if frame_codec != 0 {
-                format!("  [frame {}]", codec_name(frame_codec))
-            } else {
-                String::new()
-            },
+            frame_marker(frame_codec),
         );
     }
     let full = diffs[0].data_len * diffs.len() as u64;
@@ -1261,10 +1175,11 @@ fn cmd_info(args: &[String]) -> CliResult {
 /// per-version size distributions as histograms, plus record totals.
 fn cmd_stats(args: &[String]) -> CliResult {
     let dir = PathBuf::from(args.first().ok_or("missing <dir>")?);
-    if is_cluster_dir(&dir) {
-        return cmd_stats_cluster(&dir);
+    let rec = open_record(&dir)?;
+    if rec.rank.is_none() {
+        return cmd_stats_cluster(&rec);
     }
-    let (base, diffs, codecs) = load_record(&dir)?;
+    let (base, diffs, codecs) = rec.load()?;
     let registry = Registry::new();
     let mut stored = 0u64;
     let mut compressed_frames = 0u64;
@@ -1334,7 +1249,7 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     }
     let dir = dir.ok_or("missing <dir>")?;
     let out = out.ok_or("missing --out <file>")?;
-    let (base, diffs, _codecs) = load_record(&dir)?;
+    let (base, diffs, _codecs) = open_record(&dir)?.load()?;
     let last = base + diffs.len() - 1;
     let version = version.unwrap_or(last);
     if version < base || version > last {
@@ -1389,118 +1304,50 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     Ok(())
 }
 
-/// Integrity-only verification: checksum every frame and replay the whole
-/// restore chain, reporting per-version outcomes. No originals needed.
-fn verify_integrity(dir: &Path) -> CliResult {
-    verify_integrity_as(dir, 0)
-}
-
-/// `verify --json` on a flat (single-rank) record: the same report schema
-/// and exit-code matrix as cluster mode. With no redundancy group a
-/// corrupt object has no repair source, so it types straight to `lost`.
-fn verify_flat_json(dir: &Path) -> CliResult {
-    let base = record_base(dir)?;
-    let mut objects: Vec<(u32, VerifyStatus)> = Vec::new();
-    for version in base.. {
-        let path = diff_path(dir, version);
-        if !path.exists() {
-            break;
-        }
-        let ok = std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| unframe_as(&bytes, 0, version, &path))
-            .and_then(|(_, payload)| Diff::decode(&payload).map_err(|e| e.to_string()))
-            .is_ok();
-        objects.push((
-            version as u32,
-            if ok {
-                VerifyStatus::Verified
-            } else {
-                VerifyStatus::Lost
-            },
-        ));
-    }
-    if objects.is_empty() {
-        return Err(format!("no checkpoints found in {}", dir.display()).into());
-    }
-    let verified = objects
-        .iter()
-        .filter(|&&(_, s)| s == VerifyStatus::Verified)
-        .count() as u64;
-    let lost = objects.len() as u64 - verified;
-    let report = vec![(0u32, objects)];
-    println!("{}", verify_report_json("flat", verified, 0, lost, &report));
-    if lost > 0 {
-        return Err(exit_with(
-            EXIT_LOST,
-            format!("{lost} object(s) LOST ({verified} verified)"),
-        ));
-    }
-    Ok(())
-}
-
-fn verify_integrity_as(dir: &Path, rank: u32) -> CliResult {
-    let base = record_base(dir)?;
+/// Text-mode integrity verification of one rank's record: a per-version
+/// line from the chain's classification, then a replay of the whole
+/// restore chain. No originals needed; a lost version fails it (exit 1).
+fn verify_integrity(rec: &Record, rank: u32, verdicts: &[Verdict]) -> CliResult {
+    let base = verdicts[0].ckpt_id;
     if base > 0 {
         println!("record is compacted: first surviving version is v{base:04} (rebase point)");
     }
-    let mut diffs = Vec::new();
     let mut bad = 0usize;
-    let mut version = base;
-    loop {
-        let path = diff_path(dir, version);
-        if !path.exists() {
-            break;
+    for v in verdicts {
+        let id = (rank, v.ckpt_id);
+        if v.status == VerifyStatus::Lost {
+            bad += 1;
+            let path = rec.object_path(id);
+            println!("v{:04} BAD  {}: {}", v.ckpt_id, path.display(), v.detail);
+            continue;
         }
-        let bytes = std::fs::read(&path)?;
-        let legacy = if looks_framed(&bytes) {
-            ""
-        } else {
-            "  [legacy unframed]"
-        };
-        match unframe_as(&bytes, rank, version, &path)
-            .map_err(Into::into)
-            .and_then(
-            |(codec, payload): (u8, Vec<u8>)| -> Result<(u8, Diff), Box<dyn std::error::Error>> {
-                Diff::decode(&payload)
-                    .map(|d| (codec, d))
-                    .map_err(|e| format!("{}: {e}", path.display()).into())
+        println!(
+            "v{:04} ok   frame + diff verified ({} B){}{}{}",
+            v.ckpt_id,
+            rec.chain.pfs.raw(id).map_or(0, |b| b.len()),
+            frame_marker(v.codec),
+            if rec.legacy.contains(&id) {
+                "  [legacy unframed]"
+            } else {
+                ""
             },
-        ) {
-            Ok((codec, diff)) => {
-                println!(
-                    "v{version:04} ok   frame + diff verified ({} B){}{legacy}",
-                    bytes.len(),
-                    if codec != 0 {
-                        format!("  [frame {}]", codec_name(codec))
-                    } else {
-                        String::new()
-                    },
-                );
-                diffs.push(diff);
-            }
-            Err(e) => {
-                bad += 1;
-                println!("v{version:04} BAD  {e}");
-            }
-        }
-        version += 1;
-    }
-    let total = version - base;
-    if total == 0 {
-        return Err(format!("no checkpoints found in {}", dir.display()).into());
+            if v.detail.is_empty() {
+                String::new()
+            } else {
+                format!("  [{}]", v.detail)
+            },
+        );
     }
     if bad > 0 {
-        return Err(format!("{bad} of {total} checkpoint files failed verification").into());
-    }
-    // Frames are intact; prove the chain also replays end to end. A
-    // compacted record must open with a self-contained rebase record.
-    if base > 0 && !is_self_contained(&diffs[0]) {
         return Err(format!(
-            "v{base:04} heads a compacted record but is not self-contained (not a rebase point)"
+            "{bad} of {} checkpoint files failed verification",
+            verdicts.len()
         )
         .into());
     }
+    // Objects are intact; prove the chain also replays end to end. A
+    // compacted record must open with a self-contained rebase record.
+    let (base, diffs, _codecs) = rec.load_rank(rank)?;
     let versions = restore_record_from(base as u32, &diffs)?;
     println!(
         "record integrity ok: {} versions, restore chain replays cleanly from v{base:04}",
@@ -1520,22 +1367,91 @@ fn cmd_verify(args: &[String]) -> CliResult {
         )
     })?);
     let originals = &args[1..];
-    if is_cluster_dir(&dir) {
-        if !originals.is_empty() {
+    let rec = open_record(&dir)?;
+    if !originals.is_empty() {
+        if rec.rank.is_none() {
             return Err("clustered records verify in integrity mode (no originals)".into());
         }
-        return verify_cluster(&dir, json);
-    }
-    if originals.is_empty() {
         if json {
-            return verify_flat_json(&dir);
+            return Err("--json applies to integrity mode (no originals)".into());
         }
-        return verify_integrity(&dir);
+        return verify_originals(&rec, originals);
+    }
+    let ranks = rec.classify();
+    if ranks.is_empty() {
+        return Err(format!("no checkpoints found in {}", dir.display()).into());
+    }
+    let count = |s: VerifyStatus| -> u64 {
+        ranks
+            .iter()
+            .flat_map(|(_, objects)| objects)
+            .filter(|v| v.status == s)
+            .count() as u64
+    };
+    match rec.rank {
+        Some(rank) if !json => verify_integrity(&rec, rank, &ranks[0].1)?,
+        Some(_) => {}
+        None => {
+            for (rank, objects) in &ranks {
+                for v in objects {
+                    println!(
+                        "rank{rank:04} v{:04} {}{}{}",
+                        v.ckpt_id,
+                        v.status.label(),
+                        if v.detail.is_empty() { "" } else { "  " },
+                        v.detail,
+                    );
+                }
+            }
+            // Parity damage alone loses nothing, but is worth knowing.
+            let group = rec
+                .chain
+                .redundancy()
+                .map(|r| corrupt_frames(r.group_tier()));
+            for (key, e) in group.into_iter().flatten() {
+                let path = group_object_path(&rec.root, key);
+                println!("{}: corrupt group frame: {e}", path.display());
+            }
+        }
     }
     if json {
-        return Err("--json applies to integrity mode (no originals)".into());
+        let mode = if rec.rank.is_some() {
+            "flat"
+        } else {
+            "cluster"
+        };
+        println!("{}", verify_report_json(mode, count, &ranks));
     }
-    let (base, diffs, _codecs) = load_record(&dir)?;
+    let (verified, repairable, lost) = (
+        count(VerifyStatus::Verified),
+        count(VerifyStatus::Repairable),
+        count(VerifyStatus::Lost),
+    );
+    if lost > 0 {
+        return Err(exit_with(
+            EXIT_LOST,
+            format!("{lost} object(s) LOST ({repairable} repairable, {verified} verified)"),
+        ));
+    }
+    if repairable > 0 {
+        return Err(exit_with(
+            EXIT_REPAIRABLE,
+            format!("{repairable} object(s) repairable from the group ({verified} verified)"),
+        ));
+    }
+    if rec.rank.is_none() {
+        println!(
+            "cluster record ok: {} ranks, {verified} objects verified",
+            ranks.len()
+        );
+    }
+    Ok(())
+}
+
+/// `ckpt verify <dir> <originals...>`: replay the record and compare
+/// every version bit-exact against its original snapshot.
+fn verify_originals(rec: &Record, originals: &[String]) -> CliResult {
+    let (base, diffs, _codecs) = rec.load()?;
     if originals.len() != diffs.len() {
         return Err(format!(
             "record has {} versions (from v{base:04}) but {} originals were given",
